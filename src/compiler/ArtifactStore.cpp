@@ -886,8 +886,7 @@ std::shared_ptr<const CompiledProgram> slin::deserializeProgram(Reader &R) {
     return nullptr;
   auto ValidSteps = [&](const FiringProgram &P) {
     for (const FiringStep &S : P)
-      if (S.Node < 0 || static_cast<size_t>(S.Node) >= NumNodes ||
-          S.Count < 0)
+      if (!isWellFormedStep(S, NumNodes))
         return false;
     return true;
   };

@@ -11,6 +11,7 @@
 #include "opt/Cleanup.h"
 #include "opt/Redundancy.h"
 #include "opt/Selection.h"
+#include "sched/Schedule.h"
 #include "support/Diag.h"
 #include "support/FaultInjection.h"
 #include "support/RuntimeConfig.h"

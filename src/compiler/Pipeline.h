@@ -79,8 +79,9 @@ struct PipelineOptions {
   bool DeadChannelElim = true;
   /// VerifyRates (opt/Cleanup.h): re-derive the balance equations after
   /// every rewrite pass and cross-check the static schedule after
-  /// lowering, aborting with the offending pass's name on any
-  /// inconsistency. Defaults to the SLIN_VERIFY environment variable.
+  /// lowering (verifySchedule, sched/Schedule.h), aborting with the
+  /// offending pass's name on any inconsistency. Defaults to the
+  /// SLIN_VERIFY environment variable.
   bool VerifyAfterEachPass = defaultVerifyAfterEachPass();
 
   /// Engine selection + knobs. With Engine::Compiled, compile() also

@@ -27,17 +27,13 @@
 ///    collapse to that branch. The flat graph and schedule are
 ///    recomputed downstream, so the dead channels' buffers disappear.
 ///
-///  * **VerifyRates** — assertion passes: verifyStreamRates re-derives
+///  * **VerifyRates** — an assertion pass: verifyStreamRates re-derives
 ///    the push/pop/peek balance equations of the (rewritten) stream
 ///    hierarchy and reports the first inconsistency as a string instead
-///    of executing anything; verifySchedule replays a lowered program's
-///    init/steady/batch firing programs symbolically against the flat
-///    graph and cross-checks every cached StaticSchedule field
-///    (repetitions, firing counts, channel occupancy, high-water marks,
-///    buffer capacities, external I/O accounting). The pipeline runs
-///    them after every rewrite when PipelineOptions::VerifyAfterEachPass
-///    is set (default: the SLIN_VERIFY environment variable), failing
-///    fast with the offending pass's name.
+///    of executing anything. The pipeline runs it after every rewrite
+///    when PipelineOptions::VerifyAfterEachPass is set (default: the
+///    SLIN_VERIFY environment variable), failing fast with the offending
+///    pass's name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,10 +49,6 @@
 namespace slin {
 
 class AnalysisManager;
-struct StaticSchedule;
-namespace flat {
-struct FlatGraph;
-}
 
 /// What the cleanup passes changed, for pass notes and tests.
 struct CleanupStats {
@@ -98,14 +90,6 @@ bool hasObservableEffects(const Stream &S);
 /// inconsistency ("" when the graph has a valid steady state). Also
 /// rejects negative rates, peek < pop windows and malformed init rates.
 std::string verifyStreamRates(const Stream &Root);
-
-/// Cross-checks \p S against \p G: independent balance of Repetitions, a
-/// firing-accurate symbolic replay of the init, batch and steady
-/// programs (channel underflow, unsatisfied peek windows, firing-count
-/// totals), and equality of every derived schedule field (PostInitLive,
-/// ChannelHighWater, ChannelBufSize, external pops/needs/pushes).
-/// Returns the first mismatch, "" when consistent.
-std::string verifySchedule(const flat::FlatGraph &G, const StaticSchedule &S);
 
 } // namespace slin
 

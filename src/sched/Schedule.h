@@ -20,6 +20,11 @@
 ///  * exact per-channel high-water marks and flat-buffer capacities, so
 ///    the compiled engine can allocate fixed ring buffers up front.
 ///
+/// The greedy simulation is one use of the symbolic schedule replay
+/// (replaySchedule). verifySchedule replays a schedule's stored programs
+/// with the rates flat::Node declares; verify-bounds (verify/Lint.h)
+/// replays them with rates derived from the op tapes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLIN_SCHED_SCHEDULE_H
@@ -28,6 +33,7 @@
 #include "exec/FlatGraph.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace slin {
@@ -106,6 +112,77 @@ bool deserializeSchedule(serial::Reader &R, StaticSchedule &Out);
 /// (deadlocked feedback loops).
 StaticSchedule computeSchedule(const flat::FlatGraph &G,
                                int BatchIterations = 16);
+
+//===----------------------------------------------------------------------===//
+// Rate tables and the symbolic schedule replay
+//===----------------------------------------------------------------------===//
+
+/// One firing's use of one channel.
+struct ChannelUse {
+  int Chan = -1;
+  int64_t Rate = 0; ///< items popped (inputs) or pushed (outputs)
+  int64_t Need = 0; ///< inputs: items that must be live for the firing
+};
+
+/// The channels one firing reads and writes.
+struct FiringRates {
+  std::vector<ChannelUse> In;
+  std::vector<ChannelUse> Out;
+};
+
+/// A node's per-firing rates. Init applies to the first-ever firing of
+/// an init-work filter, Steady to every other firing.
+struct NodeRates {
+  FiringRates Steady;
+  FiringRates Init;
+  bool HasInitWork = false;
+};
+
+/// The rates a schedule is derived and replayed with, per node, plus
+/// each channel's endpoints.
+struct RateTable {
+  std::vector<NodeRates> Nodes;
+  std::vector<int> Producer; ///< per channel; -1 for the external input
+  std::vector<int> Consumer; ///< per channel; -1 for the external output
+};
+
+/// The rates each flat::Node declares.
+RateTable declaredRates(const flat::FlatGraph &G);
+
+/// A well-formed firing step names a node of the graph and fires it at
+/// least once. The replay and the artifact loader both hold programs to
+/// this.
+bool isWellFormedStep(const FiringStep &Step, size_t NumNodes);
+
+/// Where replaySchedule takes each program's steps from.
+enum class StepSource {
+  /// Fire every ready node as often as its remaining count and its input
+  /// allow, appending the steps to the (empty) programs.
+  Greedy,
+  /// The schedule's own programs.
+  Stored,
+};
+
+/// The symbolic schedule replay. Runs the init, batch and steady
+/// programs of \p S in that order on one channel state that starts from
+/// the graph's initial items, firing nodes at the rates in \p T. A step
+/// of K firings applies in bulk, with an init-work filter's first-ever
+/// firing split off at its init rates. Reads S.Repetitions,
+/// S.InitFirings and S.BatchIterations; recomputes every derived field
+/// (PostInitLive, ChannelHighWater, ChannelBufSize and the external
+/// pops, needs and pushes). Returns the first failure ("" when none): a
+/// node that reads and writes one channel, a malformed step, an unmet
+/// input window, a program whose firing totals are not InitFirings,
+/// Repetitions x BatchIterations or Repetitions, or a batch or steady
+/// program that leaves an internal channel away from PostInitLive.
+std::string replaySchedule(const flat::FlatGraph &G, const RateTable &T,
+                           StaticSchedule &S, StepSource Steps);
+
+/// Cross-checks \p S against \p G: independent balance of Repetitions
+/// under the declared rates, then replaySchedule of S's own programs,
+/// whose derived fields must equal S's field by field. Returns the first
+/// mismatch, "" when consistent.
+std::string verifySchedule(const flat::FlatGraph &G, const StaticSchedule &S);
 
 /// Shard-boundary state computation for the parallel backend
 /// (exec/Parallel.h). A worker reconstructs the runtime state at steady

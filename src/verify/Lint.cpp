@@ -4,6 +4,7 @@
 
 #include "graph/Stream.h"
 #include "linear/Extract.h"
+#include "sched/Schedule.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -244,7 +245,7 @@ std::string verify::verifyLinear(const CompiledProgram &P, LintReport &R) {
 namespace {
 
 /// Per-tape bounds pass; returns the summary so the schedule replay can
-/// reuse the derived rates and peek extent.
+/// reuse the derived peek extent.
 TapeSummary boundsOneTape(const wir::OpProgram &Tape,
                           const std::vector<wir::FieldDef> &Fields,
                           const std::string &Where, LintReport &R) {
@@ -271,14 +272,20 @@ std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
   const flat::FlatGraph &G = P.graph();
   const StaticSchedule &S = P.schedule();
 
-  // Tape-derived firing I/O per node; declared rates elsewhere.
-  struct NodeIO {
-    bool Derived = false; ///< filter with a tape (vs. declared rates)
-    bool HasInit = false;
-    int64_t Pops = 0, Pushes = 0, Need = 0;
-    int64_t InitPops = 0, InitPushes = 0, InitNeed = 0;
+  // The derived rate table: declared rates, except that a tape filter's
+  // own channels carry its tapes' rates and deepest peek.
+  RateTable Derived = declaredRates(G);
+  auto Derive = [](FiringRates &F, const flat::Node &N,
+                   const wir::OpProgram &Tape, const TapeSummary &Sum) {
+    for (ChannelUse &U : F.In)
+      if (U.Chan == N.In) {
+        U.Rate = Tape.popRate();
+        U.Need = std::max<int64_t>(Sum.MaxPeekPos + 1, U.Rate);
+      }
+    for (ChannelUse &U : F.Out)
+      if (U.Chan == N.Out)
+        U.Rate = Tape.pushRate();
   };
-  std::vector<NodeIO> IO(G.Nodes.size());
 
   for (size_t I = 0; I != G.Nodes.size(); ++I) {
     const flat::Node &N = G.Nodes[I];
@@ -300,131 +307,54 @@ std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
                   std::to_string(F.peekRate()) + ", pop " +
                   std::to_string(F.popRate()) + ", push " +
                   std::to_string(F.pushRate()) + ")");
-    NodeIO &D = IO[I];
-    D.Derived = true;
-    D.Pops = Art.Work.popRate();
-    D.Pushes = Art.Work.pushRate();
-    D.Need = std::max<int64_t>(Sum.MaxPeekPos + 1, D.Pops);
-    if (!Art.InitWork.empty()) {
-      TapeSummary ISum =
-          boundsOneTape(Art.InitWork, F.fields(), N.Name + " [init]", R);
-      D.HasInit = true;
-      D.InitPops = Art.InitWork.popRate();
-      D.InitPushes = Art.InitWork.pushRate();
-      D.InitNeed = std::max<int64_t>(ISum.MaxPeekPos + 1, D.InitPops);
-      if (Art.InitWork.popRate() != F.initPopRate() ||
-          Art.InitWork.pushRate() != F.initPushRate())
-        R.error(Pass, N.Name + " [init]", -1,
-                "init tape rates disagree with the filter's declared init "
-                "rates");
+    NodeRates &NR = Derived.Nodes[I];
+    Derive(NR.Steady, N, Art.Work, Sum);
+    if (Art.InitWork.empty()) {
+      Derive(NR.Init, N, Art.Work, Sum);
+      continue;
     }
+    TapeSummary ISum =
+        boundsOneTape(Art.InitWork, F.fields(), N.Name + " [init]", R);
+    Derive(NR.Init, N, Art.InitWork, ISum);
+    if (Art.InitWork.popRate() != F.initPopRate() ||
+        Art.InitWork.pushRate() != F.initPushRate())
+      R.error(Pass, N.Name + " [init]", -1,
+              "init tape rates disagree with the filter's declared init "
+              "rates");
   }
 
-  // Replay the firing programs with the *derived* filter I/O: every
-  // channel read stays covered by live items, and live counts stay
-  // within the schedule's high-water marks and buffer capacities — the
-  // flat-buffer positions CxxEmit's emitted code indexes with.
+  // Replay the firing programs with the derived rates: every channel
+  // read stays covered by live items, and live counts stay within the
+  // schedule's high-water marks and buffer capacities — the flat-buffer
+  // positions CxxEmit's emitted code indexes with.
   size_t NumChans = G.numChannels();
-  auto External = [&](int C) {
-    return C == G.ExternalIn || C == G.ExternalOut;
-  };
-  std::vector<int64_t> FiredEver(G.Nodes.size(), 0);
-  auto Replay = [&](const FiringProgram &Prog, std::vector<int64_t> &Live,
-                    const char *Which) {
-    std::vector<int64_t> StartLive = Live;
-    std::vector<int64_t> Appended(NumChans, 0);
-    size_t ErrsAtStart = R.errorCount();
-    for (const FiringStep &Step : Prog) {
-      if (Step.Node < 0 ||
-          static_cast<size_t>(Step.Node) >= G.Nodes.size()) {
-        R.error(Pass, "schedule", -1,
-                std::string(Which) + " program fires unknown node " +
-                    std::to_string(Step.Node));
-        return;
-      }
-      const flat::Node &N = G.Nodes[static_cast<size_t>(Step.Node)];
-      const NodeIO &D = IO[static_cast<size_t>(Step.Node)];
-      for (int64_t K = 0; K != Step.Count; ++K) {
-        // Stop piling up findings once the replay has gone off the rails.
-        if (R.errorCount() > ErrsAtStart + 8)
-          return;
-        bool InitF = FiredEver[static_cast<size_t>(Step.Node)] == 0 &&
-                     N.Kind == flat::NodeKind::Filter && N.F &&
-                     N.F->hasInitWork();
-        for (int C : N.inputChannels()) {
-          int64_t Need, Pops;
-          if (D.Derived && C == N.In) {
-            Need = InitF && D.HasInit ? D.InitNeed : D.Need;
-            Pops = InitF && D.HasInit ? D.InitPops : D.Pops;
-          } else {
-            Need = N.peekNeedOn(C, InitF);
-            Pops = N.popsFrom(C, InitF);
-          }
-          if (!External(C)) {
-            size_t Ch = static_cast<size_t>(C);
-            if (Need > Live[Ch])
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: '" + N.Name +
-                          "' reads " + std::to_string(Need) +
-                          " items on channel " + std::to_string(C) +
-                          " with only " + std::to_string(Live[Ch]) +
-                          " live");
-            Live[Ch] -= Pops;
-            if (Live[Ch] < 0) {
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: channel " +
-                          std::to_string(C) + " underflows at '" + N.Name +
-                          "'");
-              Live[Ch] = 0;
-            }
-          }
-        }
-        for (int C : N.outputChannels()) {
-          int64_t Pushes;
-          if (D.Derived && C == N.Out)
-            Pushes = InitF && D.HasInit ? D.InitPushes : D.Pushes;
-          else
-            Pushes = N.pushesTo(C, InitF);
-          if (!External(C)) {
-            size_t Ch = static_cast<size_t>(C);
-            Live[Ch] += Pushes;
-            Appended[Ch] += Pushes;
-            if (Ch < S.ChannelHighWater.size() &&
-                Live[Ch] > S.ChannelHighWater[Ch])
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: channel " +
-                          std::to_string(C) + " holds " +
-                          std::to_string(Live[Ch]) +
-                          " items, above its high-water mark " +
-                          std::to_string(S.ChannelHighWater[Ch]));
-          }
-        }
-        ++FiredEver[static_cast<size_t>(Step.Node)];
-      }
-    }
-    for (size_t C = 0; C != NumChans; ++C)
-      if (!External(static_cast<int>(C)) && C < S.ChannelBufSize.size() &&
-          StartLive[C] + Appended[C] > S.ChannelBufSize[C])
-        R.error(Pass, "schedule", -1,
-                std::string(Which) + " program: flat-buffer positions on "
-                                     "channel " +
-                    std::to_string(C) + " reach " +
-                    std::to_string(StartLive[C] + Appended[C]) +
-                    ", capacity is " + std::to_string(S.ChannelBufSize[C]));
-  };
-
-  if (S.Repetitions.size() == G.Nodes.size() &&
-      S.ChannelHighWater.size() == NumChans &&
-      S.ChannelBufSize.size() == NumChans) {
-    std::vector<int64_t> Live(NumChans, 0);
-    for (size_t C = 0; C != NumChans; ++C)
-      Live[C] = static_cast<int64_t>(G.InitialItems[C].size());
-    Replay(S.InitProgram, Live, "init");
-    Replay(S.BatchProgram, Live, "batch");
-    Replay(S.SteadyProgram, Live, "steady");
-  } else {
+  if (S.ChannelHighWater.size() != NumChans ||
+      S.ChannelBufSize.size() != NumChans) {
     R.error(Pass, "schedule", -1,
             "schedule vectors are not sized to the graph");
+    return passResult(R, Before, "verify-bounds");
+  }
+  StaticSchedule Replayed = S;
+  std::string Err = replaySchedule(G, Derived, Replayed, StepSource::Stored);
+  if (!Err.empty()) {
+    R.error(Pass, "schedule", -1, Err);
+    return passResult(R, Before, "verify-bounds");
+  }
+  for (size_t C = 0; C != NumChans; ++C) {
+    if (static_cast<int>(C) == G.ExternalIn ||
+        static_cast<int>(C) == G.ExternalOut)
+      continue;
+    if (Replayed.ChannelHighWater[C] > S.ChannelHighWater[C])
+      R.error(Pass, "schedule", -1,
+              "channel " + std::to_string(C) + " holds " +
+                  std::to_string(Replayed.ChannelHighWater[C]) +
+                  " items, above its high-water mark " +
+                  std::to_string(S.ChannelHighWater[C]));
+    if (Replayed.ChannelBufSize[C] > S.ChannelBufSize[C])
+      R.error(Pass, "schedule", -1,
+              "flat-buffer positions on channel " + std::to_string(C) +
+                  " reach " + std::to_string(Replayed.ChannelBufSize[C]) +
+                  ", capacity is " + std::to_string(S.ChannelBufSize[C]));
   }
   return passResult(R, Before, "verify-bounds");
 }

@@ -12,8 +12,9 @@
 ///    tape disagrees;
 ///  * verify-bounds — the bounds & rate proof: every peek/pop/push and
 ///    field/array index in every tape stays inside declared rates and
-///    windows, and a replay of the schedule's firing programs with the
-///    *tape-derived* rates keeps every flat-buffer position inside the
+///    windows, and the schedule replay of sched/Schedule.h (the one
+///    verifySchedule uses), run with the *tape-derived* rates instead of
+///    the declared ones, keeps every flat-buffer position inside the
 ///    StaticSchedule's high-water marks and buffer capacities (the
 ///    positions the CxxEmit lowering indexes with);
 ///  * verify-state — the state-classification audit: re-runs

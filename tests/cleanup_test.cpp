@@ -17,6 +17,7 @@
 #include "exec/Measure.h"
 #include "opt/Cleanup.h"
 #include "sched/Schedule.h"
+#include "verify/Lint.h"
 #include "wir/Build.h"
 
 #include "TestGraphs.h"
@@ -24,7 +25,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <numeric>
+#include <tuple>
 #include <unistd.h>
 
 using namespace slin;
@@ -344,77 +347,130 @@ TEST(VerifyRates, CatchesMidPipelineSink) {
 // VerifyRates: lowered schedule
 //===----------------------------------------------------------------------===//
 
-class VerifySchedule : public ::testing::Test {
+/// One fig 5-1 app, compiled at one batch size.
+using AppAndBatch = std::tuple<std::string, int>;
+
+class VerifySchedule : public ::testing::TestWithParam<AppAndBatch> {
 protected:
   void SetUp() override {
-    Root = apps::buildRateConvert(32);
-    PipelineOptions O;
-    O.Mode = OptMode::Linear;
-    O.Exec.Eng = Engine::Compiled;
-    O.UseProgramCache = false;
-    CompileResult R = compileStream(*Root, O);
-    Program = R.Program;
+    Program = compiled(std::get<0>(GetParam()), std::get<1>(GetParam()));
     ASSERT_NE(Program, nullptr);
   }
 
-  StreamPtr Root;
+  /// Compiles each (app, B) once for the whole suite.
+  static CompiledProgramRef compiled(const std::string &App, int B) {
+    static std::map<AppAndBatch, CompiledProgramRef> Programs;
+    CompiledProgramRef &P = Programs[{App, B}];
+    for (const apps::BenchmarkEntry &E : apps::allBenchmarks())
+      if (!P && E.Name == App) {
+        StreamPtr Root = E.Build();
+        PipelineOptions O;
+        O.Mode = OptMode::Linear;
+        O.Exec.Eng = Engine::Compiled;
+        O.Exec.Compiled.BatchIterations = B;
+        O.UseProgramCache = false;
+        P = compileStream(*Root, O).Program;
+      }
+    return P;
+  }
+
+  bool isInternal(size_t C) const {
+    return static_cast<int>(C) != Program->graph().ExternalIn &&
+           static_cast<int>(C) != Program->graph().ExternalOut;
+  }
+
+  /// The program reassembled with schedule \p S through
+  /// CompiledProgram::Parts, as the artifact loader would.
+  CompiledProgramRef withSchedule(StaticSchedule S) const {
+    CompiledProgram::Parts Parts;
+    Parts.Opts = Program->options();
+    Parts.Root = Program->root().clone();
+    Parts.Graph = flat::FlatGraph(*Parts.Root);
+    Parts.Sched = std::move(S);
+    for (size_t I = 0; I != Parts.Graph.Nodes.size(); ++I)
+      Parts.Artifacts.push_back(Program->filterArtifact(I));
+    Parts.Shard = Program->shardInfo();
+    return std::make_shared<const CompiledProgram>(std::move(Parts));
+  }
+
+  static size_t boundsErrors(const CompiledProgram &P) {
+    verify::LintReport R;
+    verify::verifyBounds(P, R);
+    return R.errorCount();
+  }
+
   CompiledProgramRef Program;
 };
 
-TEST_F(VerifySchedule, AcceptsTheRealSchedule) {
-  EXPECT_EQ(verifySchedule(Program->graph(), Program->schedule()), "");
+static std::vector<std::string> benchmarkNames() {
+  std::vector<std::string> Names;
+  for (const apps::BenchmarkEntry &E : apps::allBenchmarks())
+    Names.push_back(E.Name);
+  return Names;
 }
 
-TEST_F(VerifySchedule, CatchesTamperedRepetitions) {
+INSTANTIATE_TEST_SUITE_P(
+    Apps, VerifySchedule,
+    ::testing::Combine(::testing::ValuesIn(benchmarkNames()),
+                       ::testing::Values(1, 16)),
+    [](const ::testing::TestParamInfo<AppAndBatch> &Info) {
+      return std::get<0>(Info.param) + "_B" +
+             std::to_string(std::get<1>(Info.param));
+    });
+
+TEST_P(VerifySchedule, AcceptsTheRealSchedule) {
+  EXPECT_EQ(verifySchedule(Program->graph(), Program->schedule()), "");
+  EXPECT_EQ(boundsErrors(*withSchedule(Program->schedule())), 0u);
+}
+
+TEST_P(VerifySchedule, CatchesTamperedRepetitions) {
   StaticSchedule S = Program->schedule();
   S.Repetitions.front() += 1;
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
 }
 
-TEST_F(VerifySchedule, CatchesTamperedInitFirings) {
+TEST_P(VerifySchedule, CatchesTamperedInitFirings) {
   StaticSchedule S = Program->schedule();
   S.InitFirings.back() += 1;
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
 }
 
-TEST_F(VerifySchedule, CatchesTamperedFiringProgram) {
+TEST_P(VerifySchedule, CatchesTamperedFiringProgram) {
   StaticSchedule S = Program->schedule();
   ASSERT_FALSE(S.SteadyProgram.empty());
   S.SteadyProgram.front().Count += 1;
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
 }
 
-TEST_F(VerifySchedule, CatchesTamperedHighWaterMark) {
+TEST_P(VerifySchedule, CatchesTamperedHighWaterMark) {
   StaticSchedule S = Program->schedule();
-  for (int64_t &HW : S.ChannelHighWater)
-    if (HW > 0) {
-      HW -= 1;
+  for (size_t C = 0; C != S.ChannelHighWater.size(); ++C)
+    if (isInternal(C) && S.ChannelHighWater[C] > 0) {
+      S.ChannelHighWater[C] -= 1;
       break;
     }
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  // verify-bounds replays the same programs with the tape-derived rates
+  // and must see the tampered mark too.
+  EXPECT_GT(boundsErrors(*withSchedule(S)), 0u);
 }
 
-TEST_F(VerifySchedule, CatchesTamperedBufferCapacity) {
+TEST_P(VerifySchedule, CatchesTamperedBufferCapacity) {
   StaticSchedule S = Program->schedule();
   for (size_t C = 0; C != S.ChannelBufSize.size(); ++C) {
-    bool External =
-        static_cast<int>(C) == Program->graph().ExternalIn ||
-        static_cast<int>(C) == Program->graph().ExternalOut;
-    if (!External && S.ChannelBufSize[C] > 0) {
+    if (isInternal(C) && S.ChannelBufSize[C] > 0) {
       S.ChannelBufSize[C] -= 1;
       break;
     }
   }
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(*withSchedule(S)), 0u);
 }
 
-TEST_F(VerifySchedule, CatchesTamperedPostInitLive) {
+TEST_P(VerifySchedule, CatchesTamperedPostInitLive) {
   StaticSchedule S = Program->schedule();
   for (size_t C = 0; C != S.PostInitLive.size(); ++C) {
-    bool External =
-        static_cast<int>(C) == Program->graph().ExternalIn ||
-        static_cast<int>(C) == Program->graph().ExternalOut;
-    if (!External) {
+    if (isInternal(C)) {
       S.PostInitLive[C] += 1;
       break;
     }

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Benchmarks.h"
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "matrix/Kernels.h"
@@ -86,6 +87,37 @@ TEST(Schedule, HighWaterTracksBatch) {
     if (S.ChannelHighWater[C] == 16)
       Any = true;
   EXPECT_TRUE(Any);
+}
+
+TEST(Schedule, OnlyWellFormedStepsAreAccepted) {
+  const size_t NumNodes = 3;
+  EXPECT_TRUE(isWellFormedStep({2, 1}, NumNodes));
+  EXPECT_FALSE(isWellFormedStep({0, 0}, NumNodes));  // zero count
+  EXPECT_FALSE(isWellFormedStep({0, -4}, NumNodes)); // negative count
+  EXPECT_FALSE(isWellFormedStep({3, 1}, NumNodes));  // node out of range
+  EXPECT_FALSE(isWellFormedStep({-1, 1}, NumNodes));
+
+  for (const apps::BenchmarkEntry &E : apps::allBenchmarks())
+    for (int B : {1, 16}) {
+      StreamPtr Root = E.Build();
+      flat::FlatGraph G(*Root);
+      StaticSchedule S = computeSchedule(G, B);
+      for (const FiringProgram *P :
+           {&S.InitProgram, &S.BatchProgram, &S.SteadyProgram})
+        for (const FiringStep &Step : *P)
+          ASSERT_TRUE(isWellFormedStep(Step, G.Nodes.size()))
+              << E.Name << " B=" << B << ": node " << Step.Node
+              << ", count " << Step.Count;
+
+      // The replay holds stored programs to the same rule.
+      for (int64_t Count : {0, -4}) {
+        StaticSchedule Bad = S;
+        Bad.SteadyProgram.push_back({0, Count});
+        EXPECT_NE(verifySchedule(G, Bad).find("malformed step"),
+                  std::string::npos)
+            << E.Name << " B=" << B;
+      }
+    }
 }
 
 TEST(ScheduleDeath, DeadlockedFeedbackLoopIsFatal) {
