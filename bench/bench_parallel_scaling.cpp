@@ -86,7 +86,7 @@ int main() {
         ParallelExecutor E(Program, PO);
         ops::CountingScope Off(false);
         auto Start = std::chrono::steady_clock::now();
-        E.runIterations(C.Iterations);
+        E.tryRunIterations(C.Iterations).orDie();
         double Secs = secondsSince(Start);
         if (R == 0 || Secs < Best)
           Best = Secs;

@@ -1308,10 +1308,6 @@ Status ArtifactStore::publishWithRetry(const std::string &Path,
   return St;
 }
 
-bool ArtifactStore::store(const Key &K, const CompiledProgram &P) {
-  return tryStore(K, P).isOk();
-}
-
 Status ArtifactStore::tryStore(const Key &K, const CompiledProgram &P) {
   Writer Payload;
   if (!serializeProgram(Payload, P))
@@ -1344,11 +1340,6 @@ Status ArtifactStore::tryStore(const Key &K, const CompiledProgram &P) {
   enforceTtl(Path);
   enforceQuota(Path);
   return Status::ok();
-}
-
-std::shared_ptr<const CompiledProgram> ArtifactStore::load(const Key &K) {
-  Expected<std::shared_ptr<const CompiledProgram>> R = tryLoad(K);
-  return R ? R.take() : nullptr;
 }
 
 Expected<std::shared_ptr<const CompiledProgram>>

@@ -25,9 +25,9 @@
 /// oldest-first eviction pass — construction sweeps stale `.tmp.*`
 /// litter left by dead writers, and SLIN_STORE_MAX_BYTES /
 /// SLIN_STORE_TTL_S bound the directory by size and age. Every
-/// maintenance action is counted in stats(). The tryStore/tryLoad
-/// front doors report failures as support/Error.h Statuses; the
-/// bool/pointer forms wrap them and degrade to the memory tier.
+/// maintenance action is counted in stats(). tryStore/tryLoad report
+/// failures as support/Error.h Statuses; callers degrade to the memory
+/// tier.
 ///
 /// Alias records map a *pipeline-level* key (pre-optimization structural
 /// hash + the full pipeline configuration) to an artifact key, letting a
@@ -90,25 +90,19 @@ public:
   /// True when an artifact file for \p K exists (no validation).
   bool contains(const Key &K) const;
 
-  /// Serializes \p P and atomically publishes it under \p K. Returns
-  /// false when the program is not serializable (a native filter without
-  /// a serialTag) or on I/O failure — callers lose nothing but the tier.
-  bool store(const Key &K, const CompiledProgram &P);
-
-  /// Non-fatal front door behind store(): the same publish with the
-  /// failure explained. Transient I/O errors (EINTR, and ENOSPC after an
-  /// eviction pass) are retried with backoff a bounded number of times
-  /// before the Status is returned; the caller's degradation is
+  /// Serializes \p P and atomically publishes it under \p K.
+  /// Unserializable programs (a native filter without a serialTag) and
+  /// I/O failures come back as a Status; transient I/O errors (EINTR,
+  /// and ENOSPC after an eviction pass) are retried with backoff a
+  /// bounded number of times first. The caller's degradation is
   /// memory-only operation, never an abort.
   Status tryStore(const Key &K, const CompiledProgram &P);
 
-  /// Loads and validates the artifact for \p K; null on any miss or
-  /// validation failure (corrupt, truncated, wrong version/flags/key).
-  std::shared_ptr<const CompiledProgram> load(const Key &K);
-
-  /// Non-fatal front door behind load(): the miss/rejection explained
-  /// (ErrorCode::IoError for an unreadable file, Corrupt for a present
-  /// file that failed validation). The degradation is a clean recompile.
+  /// Loads and validates the artifact for \p K. A miss or rejection is
+  /// explained: ErrorCode::IoError for an absent or unreadable file,
+  /// Corrupt for a present file that failed validation (truncated,
+  /// checksum, wrong version/flags/key). The degradation is a clean
+  /// recompile.
   Expected<std::shared_ptr<const CompiledProgram>> tryLoad(const Key &K);
 
   /// Final path of the native-code shared object for \p K under codegen
@@ -175,7 +169,7 @@ public:
 
   /// Keys of every program artifact currently in the store whose file
   /// name matches this build's format version and build flags (the only
-  /// ones load() could accept). Parsed from file names; no file content
+  /// ones tryLoad() could accept). Parsed from file names; no file content
   /// is read or validated. The inventory hook for tools that audit a
   /// store, e.g. tools/slin-lint's lint-what-you-serve mode.
   std::vector<Key> listArtifacts() const;

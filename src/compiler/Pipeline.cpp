@@ -191,14 +191,17 @@ void ensureNative(CompileResult &R) {
 } // namespace
 
 CompileResult CompilerPipeline::compile(const Stream &Root) const {
-  // The historical front door: environmental failures are impossible on
-  // this route's passes, so any error compileImpl reports is fatal.
-  return compileImpl(Root, Opts, nullptr);
+  // No Base-mode recompile here: a broken pass must die, not pass the
+  // equivalence tests by degrading.
+  Status St;
+  CompileResult R = compileImpl(Root, Opts, St);
+  St.orDie();
+  return R;
 }
 
 Expected<CompileResult> CompilerPipeline::tryCompile(const Stream &Root) const {
   Status St;
-  CompileResult R = compileImpl(Root, Opts, &St);
+  CompileResult R = compileImpl(Root, Opts, St);
   if (St.isOk())
     return R;
   // Degradation ladder: an optimization-pass or verifier failure means
@@ -209,7 +212,7 @@ Expected<CompileResult> CompilerPipeline::tryCompile(const Stream &Root) const {
   PipelineOptions BaseOpts = Opts;
   BaseOpts.Mode = OptMode::Base;
   Status BaseSt;
-  CompileResult BaseR = compileImpl(Root, BaseOpts, &BaseSt);
+  CompileResult BaseR = compileImpl(Root, BaseOpts, BaseSt);
   if (!BaseSt.isOk())
     return BaseSt.withContext("base-mode degraded recompile");
   BaseR.Degraded = true;
@@ -217,24 +220,24 @@ Expected<CompileResult> CompilerPipeline::tryCompile(const Stream &Root) const {
   return BaseR;
 }
 
-/// The shared pipeline body. With \p St null any verification failure
-/// is fatal (compile()'s contract); with \p St non-null it is recorded
-/// there and the partial result returned (tryCompile()'s contract).
+/// The shared pipeline body. A verification failure is recorded in
+/// \p St and the partial result returned; compile() and tryCompile()
+/// apply their own policies to it.
 /// \p Opts shadows the member deliberately: the degraded Base-mode
 /// recompile reruns this body under modified options.
 CompileResult CompilerPipeline::compileImpl(const Stream &Root,
                                             const PipelineOptions &Opts,
-                                            Status *St) const {
+                                            Status &St) const {
   CompileResult R;
   AnalysisManager *AM = Opts.AM ? Opts.AM : &AnalysisManager::global();
 
   // VerifyRates: re-derive the balance equations of the current stream
-  // after a rewrite pass, recorded as its own timed pass and fatal (with
-  // the offending pass named) on the first inconsistency — a corrupted
-  // rewrite dies here instead of as a wrong answer three passes later.
-  // The pass-verifier-trip fault point injects a failure here to drive
-  // the recovery ladder deterministically. Returns false when
-  // compilation must stop (recoverable mode only).
+  // after a rewrite pass, recorded as its own timed pass and a failure
+  // (with the offending pass named) on the first inconsistency — a
+  // corrupted rewrite stops here instead of surfacing as a wrong answer
+  // three passes later. The pass-verifier-trip fault point injects a
+  // failure here to drive the recovery ladder deterministically.
+  // Returns false when compilation must stop.
   auto verifyAfter = [&](const Stream &S) {
     if (!Opts.VerifyAfterEachPass)
       return true;
@@ -248,9 +251,7 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
       return true;
     std::string Msg =
         "rate verification failed after pass '" + After + "': " + Err;
-    if (!St)
-      fatalError(Msg);
-    *St = Status(ErrorCode::VerifyFailed, Msg);
+    St = Status(ErrorCode::VerifyFailed, Msg);
     return false;
   };
 
@@ -410,9 +411,7 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
       if (!Err.empty()) {
         std::string Msg =
             "schedule verification failed after lowering: " + Err;
-        if (!St)
-          fatalError(Msg);
-        *St = Status(ErrorCode::VerifyFailed, Msg);
+        St = Status(ErrorCode::VerifyFailed, Msg);
         return R;
       }
       // The abstract-interpretation linter (src/verify/): three
@@ -436,9 +435,7 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
         if (!LintErr.empty()) {
           std::string Msg = "lint verification failed after lowering: " +
                             LintErr;
-          if (!St)
-            fatalError(Msg);
-          *St = Status(ErrorCode::VerifyFailed, Msg);
+          St = Status(ErrorCode::VerifyFailed, Msg);
           return R;
         }
       }

@@ -128,9 +128,10 @@ class CompilerPipeline {
 public:
   explicit CompilerPipeline(PipelineOptions Opts) : Opts(std::move(Opts)) {}
 
-  /// Runs the configured passes on \p Root. Fatal on a verifier
-  /// failure — the historical contract, kept for tools and tests that
-  /// want a broken rewrite to die loudly.
+  /// Runs the configured passes on \p Root. A verifier failure is
+  /// fatal (Status::orDie): there is no Base-mode recompile on this
+  /// route, so a broken pass dies loudly instead of passing the
+  /// equivalence tests by degrading.
   CompileResult compile(const Stream &Root) const;
 
   /// The serving-path front door: like compile(), but a recoverable
@@ -146,7 +147,7 @@ public:
 
 private:
   CompileResult compileImpl(const Stream &Root, const PipelineOptions &Opts,
-                            Status *St) const;
+                            Status &St) const;
 
   PipelineOptions Opts;
 };

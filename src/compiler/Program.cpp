@@ -232,7 +232,7 @@ CompiledProgramRef ProgramCache::get(const Stream &Root,
       if (WasHit)
         *WasHit = true;
       if (NeedsPublish && !Store->contains(AK)) {
-        bool Stored = Store->store(AK, *Hit);
+        bool Stored = Store->tryStore(AK, *Hit).isOk();
         std::lock_guard<std::mutex> Lock(Mutex);
         ++(Stored ? Counters.DiskStores : Counters.DiskStoreFailures);
       }
@@ -242,12 +242,12 @@ CompiledProgramRef ProgramCache::get(const Stream &Root,
 
   // Disk tier (outside the lock: file I/O and deserialization are slow).
   if (Store) {
-    if (auto Loaded = Store->load(AK)) {
+    if (auto Loaded = Store->tryLoad(AK)) {
       if (WasHit)
         *WasHit = true;
       std::lock_guard<std::mutex> Lock(Mutex);
       ++Counters.DiskHits;
-      return insertLocked(K, std::move(Loaded), /*Published=*/true);
+      return insertLocked(K, Loaded.take(), /*Published=*/true);
     }
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Counters.DiskMisses;
@@ -257,7 +257,7 @@ CompiledProgramRef ProgramCache::get(const Stream &Root,
   // structure is wasteful but correct (first insert wins).
   auto Program = std::make_shared<const CompiledProgram>(Root, Opts);
   if (Store) {
-    bool Stored = Store->store(AK, *Program);
+    bool Stored = Store->tryStore(AK, *Program).isOk();
     std::lock_guard<std::mutex> Lock(Mutex);
     ++(Stored ? Counters.DiskStores : Counters.DiskStoreFailures);
   }
@@ -281,14 +281,14 @@ CompiledProgramRef ProgramCache::lookup(const HashDigest &Structure,
   ArtifactStore *Store = ArtifactStore::enabledGlobal();
   if (!Store)
     return nullptr;
-  auto Loaded = Store->load({Structure, OptsDigest});
+  auto Loaded = Store->tryLoad({Structure, OptsDigest});
   std::lock_guard<std::mutex> Lock(Mutex);
   if (!Loaded) {
     ++Counters.DiskMisses;
     return nullptr;
   }
   ++Counters.DiskHits;
-  return insertLocked(K, std::move(Loaded), /*Published=*/true);
+  return insertLocked(K, Loaded.take(), /*Published=*/true);
 }
 
 /// Inserts under the already-held lock, counting a miss (or, when a
@@ -354,12 +354,12 @@ size_t ProgramCache::prefetchFrom(ArtifactStore &Store) {
       if (Entries.count(CK))
         continue;
     }
-    CompiledProgramRef P = Store.load(K);
+    auto P = Store.tryLoad(K);
     if (!P)
       continue;
     std::lock_guard<std::mutex> Lock(Mutex);
     auto Inserted = Entries.emplace(
-        CK, Entry{std::move(P), ++UseClock, /*Published=*/true});
+        CK, Entry{P.take(), ++UseClock, /*Published=*/true});
     if (Inserted.second) {
       ++Loaded;
       evictToCapacityLocked();

@@ -371,19 +371,34 @@ Status checkDeadline(const faults::RunDeadline *DL) {
 
 } // namespace
 
+Status CompiledExecutor::ensureInit() {
+  if (InitDone)
+    return Status::ok();
+  if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
+    return Status(ErrorCode::Deadlock,
+                  "stream graph deadlocked: initialization needs " +
+                      std::to_string(Sched.InitExternalNeed) +
+                      " external input items, have " +
+                      std::to_string(extInAvailable()));
+  runProgram(Sched.InitProgram);
+  compact();
+  InitDone = true;
+  return Status::ok();
+}
+
+Status CompiledExecutor::steadyShortfall(const std::string &Progress) const {
+  return Status(ErrorCode::Deadlock,
+                "stream graph deadlocked: a steady-state iteration needs " +
+                    std::to_string(Sched.SteadyExternalNeed) +
+                    " external input items, have " +
+                    std::to_string(extInAvailable()) + " (" + Progress +
+                    ")");
+}
+
 Status CompiledExecutor::tryRunIterations(int64_t Iters,
                                           const faults::RunDeadline *DL) {
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-  }
+  if (Status St = ensureInit(); !St.isOk())
+    return St;
   while (Iters > 0) {
     if (Status St = checkDeadline(DL); !St.isOk())
       return St;
@@ -396,29 +411,19 @@ Status CompiledExecutor::tryRunIterations(int64_t Iters,
       runProgram(Sched.SteadyProgram);
       --Iters;
     } else {
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (" +
-              std::to_string(Iters) + " iterations remaining)");
+      return steadyShortfall(std::to_string(Iters) +
+                             " iterations remaining");
     }
     compact();
   }
   return Status::ok();
 }
 
-void CompiledExecutor::runIterations(int64_t Iters) {
-  if (Status St = tryRunIterations(Iters); !St.isOk())
-    fatalError(St.message());
-}
-
 Status CompiledExecutor::trySeedSteadyState(int64_t StartIteration) {
   const CompiledProgram::ShardInfo &SI = Prog->shardInfo();
-  // The asserts of seedSteadyState, checked: a worker thread must hand
-  // a seeding anomaly back to the parallel backend (which owns the
-  // sequential fallback), not abort the process.
+  // Checked, not asserted: a worker thread must hand a seeding anomaly
+  // back to the parallel backend (which owns the sequential fallback),
+  // not abort the process.
   if (!SI.Shardable)
     return Status(ErrorCode::ShardAnomaly,
                   "seeding requires a shardable program (" + SI.Reason +
@@ -442,14 +447,6 @@ Status CompiledExecutor::trySeedSteadyState(int64_t StartIteration) {
   if (faults::shouldFail(faults::Point::ShardSeedCorrupt))
     return Status(ErrorCode::ShardAnomaly,
                   "injected shard-seed corruption");
-  seedSteadyState(StartIteration);
-  return Status::ok();
-}
-
-void CompiledExecutor::seedSteadyState(int64_t StartIteration) {
-  const CompiledProgram::ShardInfo &SI = Prog->shardInfo();
-  assert(SI.Shardable && "seeding requires a shardable program");
-  assert(!InitDone && Firings == 0 && "seed only a fresh executor");
 
   for (size_t C = 0; C != Channels.size(); ++C) {
     if (static_cast<int>(C) == Graph.ExternalIn ||
@@ -491,99 +488,44 @@ void CompiledExecutor::seedSteadyState(int64_t StartIteration) {
         .Fields.Values[static_cast<size_t>(Seed.Field)][0] = V;
   }
   InitDone = true;
+  return Status::ok();
 }
 
-Status CompiledExecutor::tryRun(size_t NOutputs,
-                                const faults::RunDeadline *DL) {
+Status CompiledExecutor::runToOutputs(size_t NOutputs,
+                                      const faults::RunDeadline *DL,
+                                      bool SingleIterations,
+                                      double *FirstOutputSeconds) {
   if (outputsProduced() >= NOutputs)
     return Status::ok();
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-  }
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Start =
+      FirstOutputSeconds ? Clock::now() : Clock::time_point();
+  const size_t Initial = outputsProduced();
+  // Records the time to the first new output once, then stops looking.
+  auto NoteFirstOutput = [&] {
+    if (!FirstOutputSeconds || outputsProduced() <= Initial)
+      return;
+    *FirstOutputSeconds =
+        std::chrono::duration<double>(Clock::now() - Start).count();
+    FirstOutputSeconds = nullptr;
+  };
+  if (Status St = ensureInit(); !St.isOk())
+    return St;
+  NoteFirstOutput();
   while (outputsProduced() < NOutputs) {
     if (Status St = checkDeadline(DL); !St.isOk())
       return St;
     size_t Before = outputsProduced();
-    if (extInAvailable() >= static_cast<size_t>(Sched.BatchExternalNeed))
+    if (!SingleIterations &&
+        extInAvailable() >= static_cast<size_t>(Sched.BatchExternalNeed))
       runProgram(Sched.BatchProgram);
     else if (extInAvailable() >=
              static_cast<size_t>(Sched.SteadyExternalNeed))
       runProgram(Sched.SteadyProgram);
     else
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (needed " +
-              std::to_string(NOutputs) + " outputs, have " +
-              std::to_string(outputsProduced()) + ")");
-    compact();
-    if (outputsProduced() == Before)
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: steady state produces no "
-                    "observable output");
-  }
-  return Status::ok();
-}
-
-void CompiledExecutor::run(size_t NOutputs) {
-  if (Status St = tryRun(NOutputs); !St.isOk())
-    fatalError(St.message());
-}
-
-Status CompiledExecutor::tryRunLatency(size_t NOutputs,
-                                       const faults::RunDeadline *DL,
-                                       double *FirstOutputSeconds) {
-  const auto Start = std::chrono::steady_clock::now();
-  const size_t Initial = outputsProduced();
-  bool FirstSeen = false;
-  auto NoteFirstOutput = [&] {
-    if (FirstSeen || outputsProduced() <= Initial)
-      return;
-    FirstSeen = true;
-    if (FirstOutputSeconds)
-      *FirstOutputSeconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        Start)
-              .count();
-  };
-  if (outputsProduced() >= NOutputs)
-    return Status::ok();
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-    NoteFirstOutput();
-  }
-  while (outputsProduced() < NOutputs) {
-    if (Status St = checkDeadline(DL); !St.isOk())
-      return St;
-    size_t Before = outputsProduced();
-    if (extInAvailable() < static_cast<size_t>(Sched.SteadyExternalNeed))
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (needed " +
-              std::to_string(NOutputs) + " outputs, have " +
-              std::to_string(outputsProduced()) + ")");
-    runProgram(Sched.SteadyProgram);
+      return steadyShortfall("needed " + std::to_string(NOutputs) +
+                             " outputs, have " +
+                             std::to_string(outputsProduced()));
     compact();
     if (outputsProduced() == Before)
       return Status(ErrorCode::Deadlock,

@@ -79,25 +79,22 @@ public:
 
   /// Runs batch programs (falling back to single steady iterations when
   /// the remaining external input cannot cover a batch) until the
-  /// observable output count reaches \p NOutputs. Reports a fatal error
-  /// when the graph deadlocks (insufficient input / invalid graph).
-  void run(size_t NOutputs);
+  /// observable output count reaches \p NOutputs. A deadlock
+  /// (insufficient input / unproductive steady state) comes back as
+  /// ErrorCode::Deadlock, and an optional \p DL is polled between
+  /// firing programs so a runaway (or injected-hang) run returns
+  /// Timeout/Cancelled. On any non-Ok Status the executor's state is
+  /// indeterminate mid-stream — recover by rerunning on a fresh
+  /// executor, never by continuing this one.
+  Status tryRun(size_t NOutputs, const faults::RunDeadline *DL = nullptr) {
+    return runToOutputs(NOutputs, DL, /*SingleIterations=*/false, nullptr);
+  }
 
   /// Runs the init program (if not yet run) plus exactly \p Iters steady
-  /// iterations, batch-granular where input allows. The iteration-driven
-  /// counterpart of run() used by the parallel backend, whose shards and
-  /// reference runs must execute identical firing sequences.
-  void runIterations(int64_t Iters);
-
-  /// Serving-path front doors behind run()/runIterations(): a deadlock
-  /// (insufficient input / unproductive steady state) comes back as
-  /// ErrorCode::Deadlock instead of aborting, and an optional \p DL is
-  /// polled between firing programs so a runaway (or injected-hang) run
-  /// returns Timeout/Cancelled. On any non-Ok Status the executor's
-  /// state is indeterminate mid-stream — recover by rerunning on a
-  /// fresh executor, never by continuing this one.
-  Status tryRun(size_t NOutputs,
-                const faults::RunDeadline *DL = nullptr);
+  /// iterations, batch-granular where input allows; failures as tryRun.
+  /// The iteration-driven counterpart of tryRun used by the parallel
+  /// backend, whose shards and reference runs must execute identical
+  /// firing sequences.
   Status tryRunIterations(int64_t Iters,
                           const faults::RunDeadline *DL = nullptr);
 
@@ -111,7 +108,10 @@ public:
   /// output. The service daemon's latency serving mode.
   Status tryRunLatency(size_t NOutputs,
                        const faults::RunDeadline *DL = nullptr,
-                       double *FirstOutputSeconds = nullptr);
+                       double *FirstOutputSeconds = nullptr) {
+    return runToOutputs(NOutputs, DL, /*SingleIterations=*/true,
+                        FirstOutputSeconds);
+  }
 
   /// Places this (freshly instantiated) executor at the state boundary of
   /// steady iteration \p StartIteration without executing iterations
@@ -120,15 +120,11 @@ public:
   /// closed-form filter state is seeded exactly per the program's
   /// ShardInfo. The caller must then replay shardInfo().WashoutIterations
   /// steady iterations (discarding their outputs) before the state — and
-  /// everything after it — is bit-identical to a sequential run. Only
-  /// valid on shardable programs.
-  void seedSteadyState(int64_t StartIteration);
-
-  /// seedSteadyState with the preconditions *checked*: a non-shardable
-  /// program, a stale executor, or an out-of-range seed recipe (and the
-  /// shard-seed-corrupt fault point) return ErrorCode::ShardAnomaly
-  /// instead of asserting — the parallel backend's cue to fall back to
-  /// its sequential path.
+  /// everything after it — is bit-identical to a sequential run. A
+  /// non-shardable program, a stale executor, or an out-of-range seed
+  /// recipe (and the shard-seed-corrupt fault point) return
+  /// ErrorCode::ShardAnomaly — the parallel backend's cue to fall back
+  /// to its sequential path.
   Status trySeedSteadyState(int64_t StartIteration);
 
   /// Items on the external output channel (never consumed).
@@ -193,6 +189,15 @@ private:
   void advanceRead(int Chan, size_t N);
   double *writePtr(int Chan, size_t N);
   void runProgram(const FiringProgram &Prog);
+  /// Runs the init program once; an input shortfall is a Deadlock.
+  Status ensureInit();
+  /// The steady-state input-shortfall Deadlock; \p Progress says how far
+  /// the calling loop got.
+  Status steadyShortfall(const std::string &Progress) const;
+  /// The output-driven loop behind tryRun (batches where input allows)
+  /// and tryRunLatency (\p SingleIterations).
+  Status runToOutputs(size_t NOutputs, const faults::RunDeadline *DL,
+                      bool SingleIterations, double *FirstOutputSeconds);
   void fireFilterStep(size_t NodeIdx, int64_t K);
   void fireSplitJoinStep(size_t NodeIdx, int64_t K);
   void compact();

@@ -235,7 +235,7 @@ std::vector<double> Executor::outputSnapshot() const {
   return std::vector<double>(Q.begin(), Q.end());
 }
 
-void Executor::run(size_t NOutputs) {
+Status Executor::tryRun(size_t NOutputs) {
   while (outputsProduced() < NOutputs) {
     bool AnyFired = false;
     for (size_t I = 0; I != Graph.Nodes.size(); ++I) {
@@ -247,8 +247,10 @@ void Executor::run(size_t NOutputs) {
       }
     }
     if (!AnyFired)
-      fatalError("stream graph deadlocked: no node can fire (needed " +
-                 std::to_string(NOutputs) + " outputs, have " +
-                 std::to_string(outputsProduced()) + ")");
+      return Status(ErrorCode::Deadlock,
+                    "stream graph deadlocked: no node can fire (needed " +
+                        std::to_string(NOutputs) + " outputs, have " +
+                        std::to_string(outputsProduced()) + ")");
   }
+  return Status::ok();
 }

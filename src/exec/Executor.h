@@ -6,7 +6,7 @@
 /// into filter nodes, splitter/joiner nodes and FIFO channels, then
 /// executed by a bounded data-driven scheduler — any node whose inputs
 /// satisfy its (init-)peek requirement may fire; channels are capped to
-/// bound memory; a sweep that fires nothing diagnoses a deadlocked
+/// bound memory; a sweep that fires nothing reports a deadlocked
 /// (invalid) graph.
 ///
 /// This executes arbitrary peeking, mismatched rates, init-work firings
@@ -21,6 +21,7 @@
 
 #include "exec/ExecOptions.h"
 #include "exec/FlatGraph.h"
+#include "support/Error.h"
 #include "wir/Interp.h"
 
 #include <deque>
@@ -46,8 +47,9 @@ public:
 
   /// Fires nodes until the observable output count reaches \p NOutputs.
   /// The observable output is the external output channel if the root
-  /// pushes items, otherwise the sequence of printed values.
-  void run(size_t NOutputs);
+  /// pushes items, otherwise the sequence of printed values. A sweep
+  /// that fires nothing returns ErrorCode::Deadlock.
+  Status tryRun(size_t NOutputs);
 
   /// Items currently on the external output channel (never consumed).
   std::vector<double> outputSnapshot() const;

@@ -105,7 +105,7 @@ FlatGraph::FlatGraph(const Stream &Root) {
   ExternalIn = makeChannel();
   ExternalOut = makeChannel();
   flatten(Root, ExternalIn, ExternalOut);
-  RootProducesOutput = computeRates(Root).Push > 0;
+  RootProducesOutput = tryComputeRates(Root).orDie().Push > 0;
 }
 
 int FlatGraph::makeChannel() {

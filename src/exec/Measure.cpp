@@ -12,8 +12,9 @@ using namespace slin;
 
 namespace {
 
-/// The measurement protocol over either engine: both expose the same
-/// run/outputsProduced surface.
+/// The measurement protocol over any engine: all expose the same
+/// tryRun/outputsProduced surface. A run that cannot reach its output
+/// target (a deadlocked graph) is fatal here.
 template <class ExecT, class MakeExec>
 Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
   Measurement M;
@@ -25,10 +26,10 @@ Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
     ExecT E = Make();
     ops::CountingScope Scope;
     ops::reset();
-    E.run(Opts.WarmupOutputs);
+    E.tryRun(Opts.WarmupOutputs).orDie();
     OpCounts OpsBefore = ops::counts();
     size_t OutBefore = E.outputsProduced();
-    E.run(OutBefore + Opts.MeasureOutputs);
+    E.tryRun(OutBefore + Opts.MeasureOutputs).orDie();
     M.Ops = ops::counts() - OpsBefore;
     M.Outputs = E.outputsProduced() - OutBefore;
   }
@@ -37,10 +38,10 @@ Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
   if (Opts.MeasureTime) {
     ExecT E = Make();
     ops::CountingScope Scope(false);
-    E.run(Opts.WarmupOutputs);
+    E.tryRun(Opts.WarmupOutputs).orDie();
     size_t OutBefore = E.outputsProduced();
     auto Start = std::chrono::steady_clock::now();
-    E.run(OutBefore + Opts.MeasureOutputs);
+    E.tryRun(OutBefore + Opts.MeasureOutputs).orDie();
     auto End = std::chrono::steady_clock::now();
     double Secs = std::chrono::duration<double>(End - Start).count();
     size_t Outs = E.outputsProduced() - OutBefore;
@@ -83,30 +84,20 @@ Measurement slin::measureSteadyState(const Stream &Root,
 
 std::vector<double> slin::collectOutputs(const Stream &Root, size_t NOutputs,
                                          Engine Eng) {
-  auto Finish = [&](const std::vector<double> &Printed,
-                    std::vector<double> Snapshot) {
-    std::vector<double> Out = Printed.empty() ? std::move(Snapshot) : Printed;
+  auto Collect = [&](auto &&E) {
+    E.tryRun(NOutputs).orDie();
+    std::vector<double> Out =
+        E.printed().empty() ? E.outputSnapshot() : E.printed();
     if (Out.size() > NOutputs)
       Out.resize(NOutputs);
     return Out;
   };
-  if (Eng == Engine::Parallel) {
-    ParallelExecutor E(ProgramCache::global().get(Root, CompiledOptions()));
-    E.run(NOutputs);
-    return Finish(E.printed(), E.outputSnapshot());
-  }
-  if (Eng == Engine::Compiled) {
-    CompiledExecutor E(ProgramCache::global().get(Root, CompiledOptions()));
-    E.run(NOutputs);
-    return Finish(E.printed(), E.outputSnapshot());
-  }
-  if (Eng == Engine::Native) {
-    CompiledProgramRef P = ProgramCache::global().get(Root, CompiledOptions());
-    CompiledExecutor E(P, codegen::NativeModuleCache::global().get(*P));
-    E.run(NOutputs);
-    return Finish(E.printed(), E.outputSnapshot());
-  }
-  Executor E(Root);
-  E.run(NOutputs);
-  return Finish(E.printed(), E.outputSnapshot());
+  if (!usesCompiledArtifact(Eng))
+    return Collect(Executor(Root));
+  CompiledProgramRef P = ProgramCache::global().get(Root, CompiledOptions());
+  if (Eng == Engine::Parallel)
+    return Collect(ParallelExecutor(P));
+  return Collect(CompiledExecutor(
+      P, Eng == Engine::Native ? codegen::NativeModuleCache::global().get(*P)
+                               : nullptr));
 }

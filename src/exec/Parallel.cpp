@@ -3,7 +3,6 @@
 #include "exec/Parallel.h"
 
 #include "exec/CompiledExecutor.h"
-#include "support/Diag.h"
 #include "support/MathUtil.h"
 
 #include <algorithm>
@@ -122,118 +121,93 @@ void ParallelExecutor::runShard(int64_t Start, int64_t Span, bool Counting,
                         P.end());
 }
 
-CompiledExecutor &ParallelExecutor::seqExecutor() {
-  bool Fresh = !Seq;
-  if (Fresh) {
-    Seq = std::make_unique<CompiledExecutor>(Prog);
-    SeqInFed = 0;
-  }
-  if (SeqInFed < In.size()) {
-    Seq->provideInput(std::vector<double>(
-        In.begin() + static_cast<ptrdiff_t>(SeqInFed), In.end()));
-    SeqInFed = In.size();
-  }
-  // A fresh executor created after a mid-run failure discarded its
-  // predecessor must catch up (uncounted) to the logical stream
-  // position; it replays work that already ran, so it cannot starve.
-  if (Fresh && IterationsDone > 0) {
-    ops::CountingScope Off(false);
-    Seq->runIterations(IterationsDone);
-  }
-  return *Seq;
-}
-
-void ParallelExecutor::spliceSeqOutputs(size_t OutBoundary,
-                                        size_t PrintBoundary) {
-  std::vector<double> Out = Seq->outputSnapshot();
-  ExtOut.insert(ExtOut.end(),
-                Out.begin() + static_cast<ptrdiff_t>(OutBoundary), Out.end());
-  const std::vector<double> &P = Seq->printed();
-  Printed.insert(Printed.end(),
-                 P.begin() + static_cast<ptrdiff_t>(PrintBoundary), P.end());
-}
-
-Status ParallelExecutor::runSequential(int64_t Iters,
+/// Replaces \p E with a fresh executor at the logical stream position:
+/// fed the whole input and caught up (uncounted) through the iterations
+/// already done. It replays work that already ran, so it cannot starve.
+Status ParallelExecutor::freshExecutor(std::unique_ptr<CompiledExecutor> &E,
+                                       size_t &Fed,
                                        const faults::RunDeadline *DL) {
-  CompiledExecutor &E = seqExecutor();
-  size_t OutBoundary = E.externalOutputCount();
-  size_t PrintBoundary = E.printed().size();
-  if (Status St = E.tryRunIterations(Iters, DL); !St.isOk()) {
-    // Mid-run failure leaves E indeterminate; discard it so the next
-    // call rebuilds (and catches up) a fresh one.
-    Seq.reset();
-    SeqInFed = 0;
-    return St;
-  }
-  spliceSeqOutputs(OutBoundary, PrintBoundary);
-  return Status::ok();
-}
-
-Status ParallelExecutor::runSequentialByOutputs(size_t NOutputs,
-                                                const faults::RunDeadline *DL) {
-  CompiledExecutor &E = seqExecutor();
-  size_t OutBoundary = E.externalOutputCount();
-  size_t PrintBoundary = E.printed().size();
-  // E holds the whole logical stream: same target.
-  if (Status St = E.tryRun(NOutputs, DL); !St.isOk()) {
-    Seq.reset();
-    SeqInFed = 0;
-    return St;
-  }
-  spliceSeqOutputs(OutBoundary, PrintBoundary);
-  return Status::ok();
-}
-
-/// Sharded fan-out hit a seed anomaly: every shard's partial output has
-/// been discarded and the whole span re-runs on the continuation tail —
-/// or, when none exists, on a fresh executor caught up (uncounted)
-/// through the iterations already done. The sequential re-run fires the
-/// exact firing sequence a single-threaded engine would, so outputs and
-/// FLOP counts stay bit-identical to the clean path.
-Status ParallelExecutor::recoverSpanSequentially(int64_t Iters,
-                                                 const std::string &Why,
-                                                 const faults::RunDeadline *DL) {
-  if (!Tail) {
-    Tail = std::make_unique<CompiledExecutor>(Prog);
-    Tail->provideInput(In);
-    TailInFed = In.size();
-    if (IterationsDone > 0) {
-      ops::CountingScope Off(false);
-      if (Status St = Tail->tryRunIterations(IterationsDone, DL);
-          !St.isOk()) {
-        Tail.reset();
-        return St;
-      }
+  E = std::make_unique<CompiledExecutor>(Prog);
+  E->provideInput(In);
+  Fed = In.size();
+  if (IterationsDone > 0) {
+    ops::CountingScope Off(false);
+    if (Status St = E->tryRunIterations(IterationsDone, DL); !St.isOk()) {
+      E.reset();
+      return St;
     }
-  } else if (TailInFed < In.size()) {
-    Tail->provideInput(std::vector<double>(
-        In.begin() + static_cast<ptrdiff_t>(TailInFed), In.end()));
-    TailInFed = In.size();
   }
-  size_t OutBoundary = Tail->externalOutputCount();
-  size_t PrintBoundary = Tail->printed().size();
-  if (Status St = Tail->tryRunIterations(Iters, DL); !St.isOk()) {
-    Tail.reset();
+  return Status::ok();
+}
+
+/// Runs \p Run on the persistent executor \p E (the sequential fallback
+/// or the continuation tail) after feeding it the input it has not seen,
+/// and splices the outputs it produces onto the logical stream. A
+/// failure leaves E indeterminate mid-stream, so it is discarded; the
+/// next call rebuilds (and catches up) a fresh one.
+template <class RunFn>
+Status ParallelExecutor::continueOn(std::unique_ptr<CompiledExecutor> &E,
+                                    size_t &Fed, RunFn Run) {
+  if (Fed < In.size()) {
+    E->provideInput(std::vector<double>(
+        In.begin() + static_cast<ptrdiff_t>(Fed), In.end()));
+    Fed = In.size();
+  }
+  size_t OutBoundary = E->externalOutputCount();
+  size_t PrintBoundary = E->printed().size();
+  if (Status St = Run(*E); !St.isOk()) {
+    E.reset();
     return St;
   }
-  std::vector<double> Out = Tail->outputSnapshot();
+  std::vector<double> Out = E->outputSnapshot();
   ExtOut.insert(ExtOut.end(), Out.begin() + static_cast<ptrdiff_t>(OutBoundary),
                 Out.end());
-  const std::vector<double> &P = Tail->printed();
+  const std::vector<double> &P = E->printed();
   Printed.insert(Printed.end(),
                  P.begin() + static_cast<ptrdiff_t>(PrintBoundary), P.end());
-  int64_t SpanIters = Stats.Iterations;
-  Stats = RunStats();
-  Stats.Iterations = SpanIters;
-  Stats.ShardsUsed = 1;
-  Stats.Sequential = true;
-  Stats.FallbackReason = Why;
   return Status::ok();
 }
 
-void ParallelExecutor::runIterations(int64_t Iters) {
-  if (Status St = tryRunIterations(Iters); !St.isOk())
-    fatalError(St.message());
+/// The unshardable path: one persistent executor holds the whole
+/// logical stream across calls.
+template <class RunFn>
+Status ParallelExecutor::runSequential(const faults::RunDeadline *DL,
+                                       RunFn Run) {
+  if (!Seq)
+    if (Status St = freshExecutor(Seq, SeqInFed, DL); !St.isOk())
+      return St;
+  return continueOn(Seq, SeqInFed, Run);
+}
+
+/// A shard failed with \p ShardSt. Only a seed anomaly is recoverable:
+/// every shard's partial output has been discarded and the whole span
+/// re-runs on the continuation tail — or, when none exists, on a fresh
+/// executor caught up through the iterations already done. The
+/// sequential re-run fires the exact firing sequence a single-threaded
+/// engine would, so outputs and FLOP counts stay bit-identical to the
+/// clean path.
+Status ParallelExecutor::recoverSpanSequentially(int64_t Iters,
+                                                 const Status &ShardSt,
+                                                 const faults::RunDeadline *DL) {
+  if (ShardSt.code() != ErrorCode::ShardAnomaly)
+    return ShardSt;
+  if (!Tail)
+    if (Status St = freshExecutor(Tail, TailInFed, DL); !St.isOk())
+      return St;
+  if (Status St = continueOn(Tail, TailInFed,
+                             [&](CompiledExecutor &E) {
+                               return E.tryRunIterations(Iters, DL);
+                             });
+      !St.isOk())
+    return St;
+  Stats = RunStats();
+  Stats.Iterations = Iters;
+  Stats.ShardsUsed = 1;
+  Stats.Sequential = true;
+  Stats.FallbackReason = ShardSt.str();
+  IterationsDone += Iters;
+  InitDone = true;
+  return Status::ok();
 }
 
 Status ParallelExecutor::tryRunIterations(int64_t Iters,
@@ -243,11 +217,14 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
     return Status::ok();
   Stats.Iterations = Iters;
   const StaticSchedule &S = Prog->schedule();
+  auto RunSpan = [&](CompiledExecutor &E) {
+    return E.tryRunIterations(Iters, DL);
+  };
 
   const CompiledProgram::ShardInfo &SI = Prog->shardInfo();
   if (!SI.Shardable) {
     // The persistent executor does its own input bookkeeping.
-    if (Status St = runSequential(Iters, DL); !St.isOk())
+    if (Status St = runSequential(DL, RunSpan); !St.isOk())
       return St;
     Stats.ShardsUsed = 1;
     Stats.Sequential = true;
@@ -282,38 +259,13 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
     // the previous call sits exactly at IterationsDone and continues
     // directly, with no re-seeding or washout replay.
     if (Tail) {
-      if (TailInFed < In.size()) {
-        Tail->provideInput(std::vector<double>(
-            In.begin() + static_cast<ptrdiff_t>(TailInFed), In.end()));
-        TailInFed = In.size();
-      }
-      size_t OutBoundary = Tail->externalOutputCount();
-      size_t PrintBoundary = Tail->printed().size();
-      if (Status St = Tail->tryRunIterations(Iters, DL); !St.isOk()) {
-        Tail.reset(); // indeterminate mid-stream; rebuild on next call
+      if (Status St = continueOn(Tail, TailInFed, RunSpan); !St.isOk())
         return St;
-      }
-      std::vector<double> Out = Tail->outputSnapshot();
-      ExtOut.insert(ExtOut.end(),
-                    Out.begin() + static_cast<ptrdiff_t>(OutBoundary),
-                    Out.end());
-      const std::vector<double> &P = Tail->printed();
-      Printed.insert(Printed.end(),
-                     P.begin() + static_cast<ptrdiff_t>(PrintBoundary),
-                     P.end());
     } else {
       ShardResult R;
       runShard(IterationsDone, Iters, Counting, DL, R);
-      if (!R.St.isOk()) {
-        if (R.St.code() != ErrorCode::ShardAnomaly)
-          return R.St;
-        if (Status St = recoverSpanSequentially(Iters, R.St.str(), DL);
-            !St.isOk())
-          return St;
-        IterationsDone += Iters;
-        InitDone = true;
-        return Status::ok();
-      }
+      if (!R.St.isOk())
+        return recoverSpanSequentially(Iters, R.St, DL);
       Stats.WarmupIterations += std::min(SI.WashoutIterations, IterationsDone);
       ExtOut.insert(ExtOut.end(), R.Out.begin(), R.Out.end());
       Printed.insert(Printed.end(), R.Printed.begin(), R.Printed.end());
@@ -347,21 +299,12 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
   for (std::thread &T : Threads)
     T.join();
 
-  for (ShardResult &R : Results) {
-    if (R.St.isOk())
-      continue;
-    // One bad shard poisons the span: later shards' outputs depend on
-    // positions the bad shard was meant to cover, so discard everything
-    // (op deltas were never folded in) and re-run sequentially.
-    if (R.St.code() != ErrorCode::ShardAnomaly)
-      return R.St;
-    if (Status St = recoverSpanSequentially(Iters, R.St.str(), DL);
-        !St.isOk())
-      return St;
-    IterationsDone += Iters;
-    InitDone = true;
-    return Status::ok();
-  }
+  // One bad shard poisons the span: later shards' outputs depend on
+  // positions the bad shard was meant to cover, so discard everything
+  // (op deltas were never folded in) and re-run sequentially.
+  for (ShardResult &R : Results)
+    if (!R.St.isOk())
+      return recoverSpanSequentially(Iters, R.St, DL);
 
   OpCounts Total;
   for (ShardResult &R : Results) {
@@ -380,11 +323,6 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
   return Status::ok();
 }
 
-void ParallelExecutor::run(size_t NOutputs) {
-  if (Status St = tryRun(NOutputs); !St.isOk())
-    fatalError(St.message());
-}
-
 Status ParallelExecutor::tryRun(size_t NOutputs,
                                 const faults::RunDeadline *DL) {
   size_t Have = outputsProduced();
@@ -395,9 +333,14 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
   if (!Prog->shardInfo().Shardable) {
     // Drive the persistent executor's own output-driven loop directly —
     // identical behavior (including deadlock diagnostics) to a plain
-    // CompiledExecutor::run.
+    // CompiledExecutor::tryRun. It holds the whole logical stream, so
+    // the target is the same.
     Stats = RunStats();
-    if (Status St = runSequentialByOutputs(NOutputs, DL); !St.isOk())
+    if (Status St = runSequential(DL,
+                                  [&](CompiledExecutor &E) {
+                                    return E.tryRun(NOutputs, DL);
+                                  });
+        !St.isOk())
       return St;
     Stats.ShardsUsed = 1;
     Stats.Sequential = true;
@@ -419,9 +362,11 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
       CompiledExecutor E(Prog);
       ops::CountingScope Off(false);
       E.provideInput(In);
-      E.runIterations(1);
+      if (Status St = E.tryRunIterations(1, DL); !St.isOk())
+        return St;
       size_t O1 = E.outputsProduced();
-      E.runIterations(1);
+      if (Status St = E.tryRunIterations(1, DL); !St.isOk())
+        return St;
       ProbedPerIterOut = static_cast<int64_t>(E.outputsProduced() - O1);
     }
     PerIter = std::max<int64_t>(ProbedPerIterOut, 0);
@@ -430,7 +375,7 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
   // The rate may be approximate (print counts can vary per iteration),
   // so loop to the target like the sequential engine does, and fail the
   // same way it does: a batch-sized span yielding no output is a
-  // deadlock, and exhausted input surfaces runIterations' diagnostic.
+  // deadlock, and exhausted input surfaces tryRunIterations' diagnostic.
   int64_t Floor = 1;
   while (outputsProduced() < NOutputs) {
     size_t Before = outputsProduced();
@@ -455,7 +400,7 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
                       "observable output");
       // A short span may legitimately print nothing; escalate to a full
       // batch before declaring deadlock (input-starved runs terminate
-      // via runIterations' own diagnostic as the budget drains).
+      // via tryRunIterations' own diagnostic as the budget drains).
       Floor = S.BatchIterations;
     }
   }

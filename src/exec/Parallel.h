@@ -54,10 +54,10 @@ namespace slin {
 class CompiledExecutor;
 
 /// Sharded steady-state execution of one logical run. Mirrors the
-/// CompiledExecutor driving surface (provideInput / run / outputSnapshot
-/// / printed / outputsProduced) so measurement and tests can swap the
-/// engines; successive run calls continue the same logical stream, with
-/// every call's iteration span sharded afresh.
+/// CompiledExecutor driving surface (provideInput / tryRun /
+/// outputSnapshot / printed / outputsProduced) so measurement and tests
+/// can swap the engines; successive run calls continue the same logical
+/// stream, with every call's iteration span sharded afresh.
 class ParallelExecutor {
 public:
   /// Uses the parallel knobs baked into the program's options.
@@ -72,25 +72,20 @@ public:
   void provideInput(const std::vector<double> &Items);
 
   /// Runs until the observable output count reaches \p NOutputs (like
-  /// CompiledExecutor::run, but sharded across workers).
-  void run(size_t NOutputs);
-
-  /// Runs exactly \p Iters further steady iterations, sharded. The
-  /// spliced outputs equal a single-threaded CompiledExecutor's
-  /// runIterations over the same span, bit for bit.
-  void runIterations(int64_t Iters);
-
-  /// Serving-path front doors behind run()/runIterations(): a deadlock
-  /// (insufficient input) comes back as ErrorCode::Deadlock instead of
-  /// aborting, and an optional \p DL is polled between firing programs
-  /// by every executor this call drives. A shard whose seeding fails
-  /// validation (ErrorCode::ShardAnomaly) is absorbed, not surfaced: the
-  /// fan-out's partial results are discarded and the whole span re-runs
-  /// sequentially — outputs and FLOP counts still bit-identical — with
-  /// lastRunStats() recording Sequential plus the anomaly as
-  /// FallbackReason. Timeout/Cancelled propagate (re-running would only
-  /// take longer); after one, this object's logical stream is
-  /// indeterminate — recover with a fresh executor.
+  /// CompiledExecutor::tryRun, but sharded across workers).
+  /// tryRunIterations runs exactly \p Iters further steady iterations,
+  /// sharded; the spliced outputs equal a single-threaded
+  /// CompiledExecutor's tryRunIterations over the same span, bit for
+  /// bit. Neither aborts: a deadlock (insufficient input) comes back as
+  /// ErrorCode::Deadlock, and an optional \p DL is polled between firing
+  /// programs by every executor the call drives. A shard whose seeding
+  /// fails validation (ErrorCode::ShardAnomaly) is absorbed, not
+  /// surfaced: the fan-out's partial results are discarded and the whole
+  /// span re-runs sequentially — outputs and FLOP counts still
+  /// bit-identical — with lastRunStats() recording Sequential plus the
+  /// anomaly as FallbackReason. Timeout/Cancelled propagate (re-running
+  /// would only take longer); after one, this object's logical stream
+  /// is indeterminate — recover with a fresh executor.
   Status tryRun(size_t NOutputs, const faults::RunDeadline *DL = nullptr);
   Status tryRunIterations(int64_t Iters,
                           const faults::RunDeadline *DL = nullptr);
@@ -101,7 +96,7 @@ public:
   int64_t iterationsDone() const { return IterationsDone; }
   const CompiledProgram &program() const { return *Prog; }
 
-  /// How the most recent run/runIterations call executed.
+  /// How the most recent tryRun/tryRunIterations call executed.
   struct RunStats {
     int ShardsUsed = 0;
     int64_t Iterations = 0;        ///< steady iterations this call
@@ -129,12 +124,14 @@ private:
   int64_t consumedInputItems() const;
   void runShard(int64_t Start, int64_t Span, bool Counting,
                 const faults::RunDeadline *DL, ShardResult &Result) const;
-  CompiledExecutor &seqExecutor();
-  void spliceSeqOutputs(size_t OutBoundary, size_t PrintBoundary);
-  Status runSequential(int64_t Iters, const faults::RunDeadline *DL);
-  Status runSequentialByOutputs(size_t NOutputs,
-                                const faults::RunDeadline *DL);
-  Status recoverSpanSequentially(int64_t Iters, const std::string &Why,
+  Status freshExecutor(std::unique_ptr<CompiledExecutor> &E, size_t &Fed,
+                       const faults::RunDeadline *DL);
+  template <class RunFn>
+  Status continueOn(std::unique_ptr<CompiledExecutor> &E, size_t &Fed,
+                    RunFn Run);
+  template <class RunFn>
+  Status runSequential(const faults::RunDeadline *DL, RunFn Run);
+  Status recoverSpanSequentially(int64_t Iters, const Status &ShardSt,
                                  const faults::RunDeadline *DL);
 
   CompiledProgramRef Prog;

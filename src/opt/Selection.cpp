@@ -198,7 +198,7 @@ private:
       if (T != Transform::None)
         return Config(); // cannot collapse across a feedback loop
       const auto *FB = cast<FeedbackLoop>(&S);
-      auto Reps = childRepetitions(S);
+      auto Reps = tryChildRepetitions(S).orDie();
       // Frequency conversion is suppressed inside feedback loops (block
       // buffering would deadlock the cycle).
       ++FeedbackDepth;
@@ -269,7 +269,7 @@ private:
       return It->second;
     Grid G;
     G.Container = &S;
-    std::vector<int64_t> Reps = childRepetitions(S);
+    std::vector<int64_t> Reps = tryChildRepetitions(S).orDie();
     if (const auto *P = dynCast<Pipeline>(&S)) {
       G.IsSplitJoin = false;
       std::vector<const Stream *> Col;
@@ -288,7 +288,7 @@ private:
         std::vector<const Stream *> Col;
         std::vector<int64_t> ColReps;
         if (const auto *CP = dynCast<Pipeline>(Child)) {
-          std::vector<int64_t> Inner = childRepetitions(*Child);
+          std::vector<int64_t> Inner = tryChildRepetitions(*Child).orDie();
           for (size_t Y = 0; Y != CP->children().size(); ++Y) {
             Col.push_back(CP->children()[Y].get());
             ColReps.push_back(Reps[X] * Inner[Y]);
@@ -308,7 +308,7 @@ private:
   int64_t flowIntoCell(const Grid &G, int X, int Y) const {
     const Stream *Cell = G.Columns[static_cast<size_t>(X)]
                                   [static_cast<size_t>(Y)];
-    return computeRates(*Cell).Pop *
+    return tryComputeRates(*Cell).orDie().Pop *
            G.CellReps[static_cast<size_t>(X)][static_cast<size_t>(Y)];
   }
 
@@ -316,7 +316,7 @@ private:
   int64_t flowOutOfCell(const Grid &G, int X, int Y) const {
     const Stream *Cell = G.Columns[static_cast<size_t>(X)]
                                   [static_cast<size_t>(Y)];
-    return computeRates(*Cell).Push *
+    return tryComputeRates(*Cell).orDie().Push *
            G.CellReps[static_cast<size_t>(X)][static_cast<size_t>(Y)];
   }
 

@@ -371,10 +371,6 @@ RateSignature ratesOf(const Stream &S, RateErr &E) {
 
 } // namespace
 
-// The try* forms are the primary implementations; the fatal forms wrap
-// them, so exactly one error-context mechanism (Status) remains between
-// the solver's internal RateErr sink and every caller.
-
 Expected<RateSignature> slin::tryComputeRates(const Stream &S) {
   RateErr E;
   RateSignature R = ratesOf(S, E);
@@ -390,18 +386,4 @@ slin::tryChildRepetitions(const Stream &Container) {
   if (E.failed())
     return Status(ErrorCode::RateError, E.Msg);
   return R;
-}
-
-std::vector<int64_t> slin::childRepetitions(const Stream &Container) {
-  Expected<std::vector<int64_t>> R = tryChildRepetitions(Container);
-  if (!R)
-    fatalError(R.status().message());
-  return R.take();
-}
-
-RateSignature slin::computeRates(const Stream &S) {
-  Expected<RateSignature> R = tryComputeRates(S);
-  if (!R)
-    fatalError(R.status().message());
-  return R.take();
 }

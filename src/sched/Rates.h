@@ -29,24 +29,16 @@ struct RateSignature {
   int64_t Push = 0;
 };
 
-/// Computes the aggregate steady-state rates of \p S. Reports a fatal
-/// error for graphs without a valid steady state (mismatched splitjoin
-/// rates, inconsistent feedback loops).
-RateSignature computeRates(const Stream &S);
+/// Computes the aggregate steady-state rates of \p S. On a graph
+/// without a valid steady state (mismatched splitjoin rates,
+/// inconsistent feedback loops) returns ErrorCode::RateError naming the
+/// offending construct.
+Expected<RateSignature> tryComputeRates(const Stream &S);
 
 /// Steady-state repetition counts for the direct children of a container
 /// (minimal positive integers). For a Pipeline/SplitJoin the vector is
 /// ordered like children(); for a FeedbackLoop it is {body, loop}.
-/// A Filter has no children; returns {}.
-std::vector<int64_t> childRepetitions(const Stream &Container);
-
-/// Non-fatal variants (the verifier pass in opt/Cleanup.h and every
-/// recoverable pipeline route): on a graph without a valid steady state
-/// they return a Status (ErrorCode::RateError) naming the offending
-/// construct instead of aborting. Identical results to the fatal
-/// versions on well-formed graphs — the fatal versions are thin
-/// wrappers over these.
-Expected<RateSignature> tryComputeRates(const Stream &S);
+/// A Filter has no children; returns {}. Fails like tryComputeRates.
 Expected<std::vector<int64_t>> tryChildRepetitions(const Stream &Container);
 
 } // namespace slin

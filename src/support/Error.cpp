@@ -37,3 +37,8 @@ const char *slin::errorCodeName(ErrorCode C) {
   }
   unreachable("unknown error code");
 }
+
+void Status::orDie() const {
+  if (!isOk())
+    fatalError(str());
+}

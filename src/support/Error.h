@@ -14,12 +14,16 @@
 ///     status is cheap to pass around and test.
 ///   * `Expected<T>`: a T or the Status explaining its absence.
 ///
-/// Policy (see README "Error handling"): the `try*` entry points —
-/// CompilerPipeline::tryCompile, ArtifactStore::tryStore/tryLoad,
-/// CompiledExecutor::tryRun*, ParallelExecutor::tryRun* — return
-/// Status/Expected and never abort on environmental failure; the
-/// original non-try forms keep their fatal contract (they wrap the try
-/// forms). fatalError itself remains for invariants only.
+/// Policy (see README "Error handling"): every fallible operation has
+/// one entry point, and it returns Status/Expected — the executors'
+/// tryRun*, tryComputeRates/tryChildRepetitions,
+/// ArtifactStore::tryStore/tryLoad, CompilerPipeline::tryCompile. None
+/// of them aborts. A caller for whom a failure is an invariant
+/// violation (a hand-built graph that must have a steady state, a test
+/// fixture that must run) says so with `.orDie()`, the one bridge to
+/// support/Diag.h's fatalError. CompilerPipeline::compile is not a twin
+/// of tryCompile: it runs a different policy (no Base-mode recompile)
+/// and ends in orDie().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,6 +94,10 @@ public:
     return std::string(errorCodeName(Code)) + ": " + Msg;
   }
 
+  /// Aborts via fatalError(str()) unless Ok. The only place a failed
+  /// Status turns fatal; the message keeps its text.
+  void orDie() const;
+
 private:
   ErrorCode Code = ErrorCode::Ok;
   std::string Msg;
@@ -131,6 +139,12 @@ public:
   T take() {
     assert(hasValue());
     return std::move(*Value);
+  }
+
+  /// The value, or fatalError(status().str()) — see Status::orDie.
+  T orDie() {
+    St.orDie();
+    return take();
   }
 
 private:

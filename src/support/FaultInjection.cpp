@@ -177,8 +177,3 @@ RunDeadline slin::faults::RunDeadline::afterMillis(int64_t Millis) {
   return D;
 }
 
-RunDeadline slin::faults::RunDeadline::fromEnv() {
-  // Deliberately a live per-call parse: a deadline exported mid-process
-  // (or cleared) must apply to the next run, with no refresh step.
-  return afterMillis(RuntimeConfig::fromEnv().RunDeadlineMillis);
-}

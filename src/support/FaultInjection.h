@@ -96,11 +96,6 @@ public:
   /// Expires \p Millis from now (<= 0: no deadline).
   static RunDeadline afterMillis(int64_t Millis);
 
-  /// SLIN_RUN_DEADLINE_MS from the environment (unset/empty/0: no
-  /// deadline). Read per call, not cached: a serving process arms it
-  /// per request.
-  static RunDeadline fromEnv();
-
   /// Attaches an external cancellation flag; expired() reports
   /// Cancelled once it is set.
   void setCancelFlag(const std::atomic<bool> *Flag) { Cancel = Flag; }

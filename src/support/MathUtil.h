@@ -33,7 +33,7 @@ inline int64_t ceilDiv(int64_t A, int64_t B) {
 }
 
 /// Saturating int64 arithmetic for the aggregate-rate solver
-/// (computeRates): repetition counts of extreme candidate rewrites
+/// (tryComputeRates): repetition counts of extreme candidate rewrites
 /// priced by the selection DP compound multiplicatively through nested
 /// roundrobin interfaces and can exceed int64. Any graph that saturates
 /// here is far past every combination size guard, so clamping at

@@ -8,8 +8,10 @@
 
 #include "support/RuntimeConfig.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
 using namespace slin;
@@ -27,6 +29,22 @@ std::string envString(const char *Name) {
 bool envFlag(const char *Name) {
   const char *V = std::getenv(Name);
   return V && *V;
+}
+
+/// Numeric knobs: sets \p Field only from a whole non-negative decimal
+/// integer that fits it. Anything else — empty, signed, suffixed ("10M",
+/// "1h", "5s"), out of range — counts as unset, rather than as whatever
+/// number a prefix parse would salvage.
+template <class T> void envCount(const char *Name, T &Field) {
+  const char *V = std::getenv(Name);
+  if (!V)
+    return;
+  const char *End = V + std::strlen(V);
+  uint64_t N = 0;
+  auto [Ptr, Ec] = std::from_chars(V, End, N);
+  if (Ec == std::errc() && Ptr == End &&
+      N <= static_cast<uint64_t>(std::numeric_limits<T>::max()))
+    Field = static_cast<T>(N);
 }
 
 struct GlobalConfig {
@@ -48,17 +66,13 @@ RuntimeConfig RuntimeConfig::fromEnv() {
   // Historically any set value (even empty) disabled the caches; keep
   // exactly that so SLIN_NO_CACHE= behaves as before.
   C.NoCache = std::getenv("SLIN_NO_CACHE") != nullptr;
-  if (const char *V = std::getenv("SLIN_STORE_MAX_BYTES"))
-    C.StoreMaxBytes = std::strtoull(V, nullptr, 10);
-  if (const char *V = std::getenv("SLIN_STORE_TTL_S"))
-    C.StoreTtlSeconds = std::strtoll(V, nullptr, 10);
+  envCount("SLIN_STORE_MAX_BYTES", C.StoreMaxBytes);
+  envCount("SLIN_STORE_TTL_S", C.StoreTtlSeconds);
   if (const char *V = std::getenv("SLIN_VERIFY"))
     C.Verify = *V && std::strcmp(V, "0") != 0;
   C.Cxx = envString("SLIN_CXX");
   C.NoNative = envFlag("SLIN_NO_NATIVE");
-  if (const char *V = std::getenv("SLIN_RUN_DEADLINE_MS"))
-    if (*V)
-      C.RunDeadlineMillis = std::strtoll(V, nullptr, 10);
+  envCount("SLIN_RUN_DEADLINE_MS", C.RunDeadlineMillis);
   C.FaultSpec = envString("SLIN_FAULT");
   C.BenchDir = envString("SLIN_BENCH_DIR");
   return C;

@@ -3,15 +3,17 @@
 /// \file
 /// One typed front door for every `SLIN_*` environment knob. The knobs
 /// themselves are unchanged (same names, same accepted values — see the
-/// README table); what changed is *where* they are read. Before this
+/// README table; numeric knobs accept only a whole non-negative decimal
+/// integer and treat anything else as unset); what changed is *where*
+/// they are read. Before this
 /// header the runtime had ~15 scattered `getenv("SLIN_*")` call sites,
 /// each with its own parse and its own caching policy; a long-lived
 /// service can't reason about that, and per-request overrides were
 /// impossible. Now:
 ///
 ///  * `RuntimeConfig::fromEnv()` parses the environment **now** — the
-///    live view. The two callers that must observe a variable per call
-///    (`SLIN_FAULT` resolution, `RunDeadline::fromEnv`) use this.
+///    live view. `SLIN_FAULT` resolution, which must observe the
+///    variable per call, uses this.
 ///  * `RuntimeConfig::current()` returns the process snapshot, parsed
 ///    once on first use. Everything else reads this.
 ///  * `RuntimeConfig::refreshFromEnv()` re-parses the snapshot — the
@@ -57,8 +59,8 @@ struct RuntimeConfig {
   /// SLIN_NO_NATIVE: disable the native codegen engine outright.
   bool NoNative = false;
 
-  /// SLIN_RUN_DEADLINE_MS: wall-clock deadline for every try* executor
-  /// run (0 = none).
+  /// SLIN_RUN_DEADLINE_MS: slin-serviced's default per-request
+  /// wall-clock deadline, for requests that carry none (0 = none).
   int64_t RunDeadlineMillis = 0;
 
   /// SLIN_FAULT: deterministic fault-injection arming spec.

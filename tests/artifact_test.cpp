@@ -86,7 +86,7 @@ std::vector<uint8_t> serializeOrDie(const CompiledProgram &P) {
 /// Runs a fresh executor over \p P and returns the first \p N outputs.
 std::vector<double> runProgram(const CompiledProgramRef &P, size_t N) {
   CompiledExecutor E(P);
-  E.run(N);
+  E.tryRun(N).orDie();
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)

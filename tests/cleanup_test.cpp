@@ -518,7 +518,7 @@ TEST(FoldedArtifact, RoundTripsThroughTheStore) {
 
   auto RunProgram = [](const CompiledProgramRef &P, size_t N) {
     CompiledExecutor E(P);
-    E.run(N);
+    E.tryRun(N).orDie();
     std::vector<double> Out =
         E.printed().empty() ? E.outputSnapshot() : E.printed();
     if (Out.size() > N)

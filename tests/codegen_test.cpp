@@ -173,7 +173,7 @@ CompiledProgramRef makeProgram(const Stream &Root,
 std::vector<double> runWith(const CompiledProgramRef &P,
                             codegen::NativeModuleRef M, size_t N) {
   CompiledExecutor E(P, std::move(M));
-  E.run(N);
+  E.tryRun(N).orDie();
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)

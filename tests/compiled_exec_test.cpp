@@ -319,7 +319,7 @@ TEST(CompiledExec, SourceFIRSink) {
   P.add(makeFIR({1, 2, 3}));
   P.add(makePrinterSink());
   CompiledExecutor E(P);
-  E.run(4);
+  E.tryRun(4).orDie();
   ASSERT_GE(E.printed().size(), 4u);
   for (int K = 0; K != 4; ++K)
     EXPECT_DOUBLE_EQ(E.printed()[static_cast<size_t>(K)], 6.0 * K + 8.0);
@@ -329,7 +329,7 @@ TEST(CompiledExec, ExternalInputAndOutput) {
   auto F = makeFIR({2, 5});
   CompiledExecutor E(*F);
   E.provideInput({1, 2, 3, 4});
-  E.run(3);
+  E.tryRun(3).orDie();
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 2 * 1 + 5 * 2);
@@ -347,18 +347,20 @@ TEST(CompiledExec, TailIterationsWhenInputShort) {
   for (int I = 0; I != 20; ++I)
     In.push_back(I);
   E.provideInput(In);
-  E.run(20);
+  E.tryRun(20).orDie();
   auto Out = E.outputSnapshot();
   ASSERT_EQ(Out.size(), 20u);
   for (int I = 0; I != 20; ++I)
     EXPECT_DOUBLE_EQ(Out[static_cast<size_t>(I)], 3.0 * I);
 }
 
-TEST(CompiledExecDeath, InsufficientInputIsFatal) {
+TEST(CompiledExec, InsufficientInputIsADeadlock) {
   auto F = makeFIR({1, 1, 1, 1});
   CompiledExecutor E(*F);
   E.provideInput({1, 2});
-  EXPECT_DEATH(E.run(1), "deadlocked");
+  Status St = E.tryRun(1);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("deadlocked"), std::string::npos);
 }
 
 TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
@@ -384,11 +386,11 @@ TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
   auto F2 = Make();
   Executor D(*F2);
   D.provideInput(In);
-  D.run(4);
+  D.tryRun(4).orDie();
   auto F3 = Make();
   CompiledExecutor C(*F3);
   C.provideInput(In);
-  C.run(4);
+  C.tryRun(4).orDie();
   auto Dyn = D.outputSnapshot();
   auto Comp = C.outputSnapshot();
   ASSERT_GE(Dyn.size(), 4u);
@@ -400,7 +402,9 @@ TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
   auto F4 = Make();
   CompiledExecutor Short(*F4);
   Short.provideInput({1, 2, 3, 4});
-  EXPECT_DEATH(Short.run(1), "deadlocked");
+  Status St = Short.tryRun(1);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("deadlocked"), std::string::npos);
 }
 
 TEST(CompiledExec, InitWorkDifferentRates) {
@@ -413,7 +417,7 @@ TEST(CompiledExec, InitWorkDifferentRates) {
       3, 3, 1, stmts(push(add(add(pop(), pop()), pop())))));
   CompiledExecutor E(*F);
   E.provideInput({1, 2, 3, 4, 5});
-  E.run(3);
+  E.tryRun(3).orDie();
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 6);
@@ -427,7 +431,7 @@ TEST(CompiledExec, FeedbackLoopSumDiff) {
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
   CompiledExecutor E(*FB);
   E.provideInput({1, 2, 3, 4, 5, 6, 7, 8});
-  E.run(3);
+  E.tryRun(3).orDie();
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 1);
@@ -445,7 +449,7 @@ TEST(CompiledExec, BatchSizeDoesNotChangeOutputs) {
     CompiledExecutor::Options O;
     O.BatchIterations = B;
     CompiledExecutor E(P, O);
-    E.run(100);
+    E.tryRun(100).orDie();
     std::vector<double> Out(E.printed().begin(),
                             E.printed().begin() + 100);
     if (Ref.empty())
@@ -463,7 +467,7 @@ TEST(CompiledExec, FiringsAccounted) {
   CompiledExecutor::Options O;
   O.BatchIterations = 8;
   CompiledExecutor E(P, O);
-  E.run(8);
+  E.tryRun(8).orDie();
   // One batch: 8 firings each of source, gain, sink.
   EXPECT_EQ(E.firings(), 24u);
 }

@@ -239,8 +239,8 @@ TEST(CompiledProgram, OneArtifactManyIndependentInstances) {
                                                          CompiledOptions());
   CompiledExecutor E1(Program);
   CompiledExecutor E2(Program);
-  E1.run(64);
-  E2.run(64); // fresh state: same prefix, not a continuation
+  E1.tryRun(64).orDie();
+  E2.tryRun(64).orDie(); // fresh state: same prefix, not a continuation
   EXPECT_EQ(E1.printed(), E2.printed());
   // And both match the dynamic reference engine bit for bit.
   EXPECT_EQ(E1.printed(), collectOutputs(*Root, 64, Engine::Dynamic));

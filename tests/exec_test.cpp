@@ -15,7 +15,7 @@ namespace {
 
 TEST(Sched, FilterRates) {
   auto F = makeFIR({1, 2, 3});
-  RateSignature R = computeRates(*F);
+  RateSignature R = tryComputeRates(*F).orDie();
   EXPECT_EQ(R.Peek, 3);
   EXPECT_EQ(R.Pop, 1);
   EXPECT_EQ(R.Push, 1);
@@ -26,9 +26,9 @@ TEST(Sched, PipelineRepetitions) {
   Pipeline P("p");
   P.add(makeExpander(2));
   P.add(makeCompressor(3));
-  auto Reps = childRepetitions(P);
+  auto Reps = tryChildRepetitions(P).orDie();
   EXPECT_EQ(Reps, (std::vector<int64_t>{3, 2}));
-  RateSignature R = computeRates(P);
+  RateSignature R = tryComputeRates(P).orDie();
   EXPECT_EQ(R.Pop, 3);
   EXPECT_EQ(R.Push, 2);
 }
@@ -37,9 +37,9 @@ TEST(Sched, PipelinePeekCarriesExtra) {
   Pipeline P("p");
   P.add(makeFIR({1, 2, 3, 4})); // peek 4 pop 1
   P.add(makeCompressor(2));
-  auto Reps = childRepetitions(P);
+  auto Reps = tryChildRepetitions(P).orDie();
   EXPECT_EQ(Reps, (std::vector<int64_t>{2, 1}));
-  RateSignature R = computeRates(P);
+  RateSignature R = tryComputeRates(P).orDie();
   EXPECT_EQ(R.Pop, 2);
   EXPECT_EQ(R.Peek, 2 + 3); // extra lookahead of the FIR
   EXPECT_EQ(R.Push, 1);
@@ -60,11 +60,11 @@ TEST(Sched, SplitJoinDuplicate) {
     SJ.add(std::make_unique<Filter>("c1", std::vector<FieldDef>{},
                                     std::move(W1)));
   }
-  auto Reps = childRepetitions(SJ);
+  auto Reps = tryChildRepetitions(SJ).orDie();
   // joinRep = lcm(lcm(4,2)/2, lcm(1,1)/1) = lcm(2,1) = 2;
   // rep0 = 2*2/4 = 1, rep1 = 1*2/1 = 2.
   EXPECT_EQ(Reps, (std::vector<int64_t>{1, 2}));
-  RateSignature R = computeRates(SJ);
+  RateSignature R = tryComputeRates(SJ).orDie();
   EXPECT_EQ(R.Pop, 2);
   EXPECT_EQ(R.Push, 6);
 }
@@ -73,9 +73,9 @@ TEST(Sched, FeedbackLoopRates) {
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeSumDiffFilter(), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
-  auto Reps = childRepetitions(*FB);
+  auto Reps = tryChildRepetitions(*FB).orDie();
   EXPECT_EQ(Reps, (std::vector<int64_t>{1, 1}));
-  RateSignature R = computeRates(*FB);
+  RateSignature R = tryComputeRates(*FB).orDie();
   EXPECT_EQ(R.Pop, 1);
   EXPECT_EQ(R.Push, 1);
 }
@@ -102,20 +102,24 @@ TEST(Sched, SplitJoinWholeCycleAlignment) {
                Joiner::roundRobin({4, 4}));
   SJ.add(MakeChild("a"));
   SJ.add(MakeChild("b"));
-  auto Reps = childRepetitions(SJ);
+  auto Reps = tryChildRepetitions(SJ).orDie();
   EXPECT_EQ(Reps, (std::vector<int64_t>{2, 2}));
-  RateSignature R = computeRates(SJ);
+  RateSignature R = tryComputeRates(SJ).orDie();
   EXPECT_EQ(R.Pop, 32);
   EXPECT_EQ(R.Push, 8);
 }
 
-TEST(SchedDeath, UnbalancedFeedbackLoopIsFatal) {
+TEST(Sched, UnbalancedFeedbackLoopIsARateError) {
   // Adder(2) pushes one item per firing but the splitter must send one
   // item per cycle to the loop AND one downstream: inconsistent.
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeAdder(2), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
-  EXPECT_DEATH(childRepetitions(*FB), "inconsistent loop rates");
+  Expected<std::vector<int64_t>> Reps = tryChildRepetitions(*FB);
+  ASSERT_FALSE(Reps);
+  EXPECT_EQ(Reps.status().code(), ErrorCode::RateError);
+  EXPECT_NE(Reps.status().message().find("inconsistent loop rates"),
+            std::string::npos);
 }
 
 TEST(Exec, SourceFIRSink) {
@@ -125,7 +129,7 @@ TEST(Exec, SourceFIRSink) {
   P.add(makePrinterSink());
 
   Executor E(P);
-  E.run(4);
+  E.tryRun(4).orDie();
   ASSERT_GE(E.printed().size(), 4u);
   // Input 0,1,2,3,...; out[k] = 1*k + 2*(k+1) + 3*(k+2) = 6k + 8.
   for (int K = 0; K != 4; ++K)
@@ -136,7 +140,7 @@ TEST(Exec, ExternalInputAndOutput) {
   auto F = makeFIR({2, 5});
   Executor E(*F);
   E.provideInput({1, 2, 3, 4});
-  E.run(3);
+  E.tryRun(3).orDie();
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 2 * 1 + 5 * 2);
@@ -150,7 +154,7 @@ TEST(Exec, DuplicateSplitJoinInterleaving) {
   SJ.add(makeGain(100, "g100"));
   Executor E(SJ);
   E.provideInput({1, 2, 3});
-  E.run(6);
+  E.tryRun(6).orDie();
   EXPECT_EQ(E.outputSnapshot(),
             (std::vector<double>{10, 100, 20, 200, 30, 300}));
 }
@@ -163,7 +167,7 @@ TEST(Exec, RoundRobinSplitJoin) {
   SJ.add(makeGain(-1, "neg"));
   Executor E(SJ);
   E.provideInput({1, 2, 3, 4, 5, 6});
-  E.run(6);
+  E.tryRun(6).orDie();
   EXPECT_EQ(E.outputSnapshot(), (std::vector<double>{1, 2, -3, 4, 5, -6}));
 }
 
@@ -175,7 +179,7 @@ TEST(Exec, FeedbackLoopSumDiff) {
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
   Executor E(*FB);
   E.provideInput({1, 2, 3});
-  E.run(3);
+  E.tryRun(3).orDie();
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 1);         // 1 + enqueued 0
@@ -194,16 +198,18 @@ TEST(Exec, InitWorkDifferentRates) {
       3, 3, 1, stmts(push(add(add(pop(), pop()), pop())))));
   Executor E(*F);
   E.provideInput({1, 2, 3, 4, 5});
-  E.run(3);
+  E.tryRun(3).orDie();
   EXPECT_EQ(E.outputSnapshot(), (std::vector<double>{6, 4, 5}));
 }
 
-TEST(Exec, DeadlockIsFatal) {
+TEST(Exec, DeadlockIsReported) {
   // A filter that needs more input than ever arrives.
   auto F = makeFIR({1, 1, 1, 1});
   Executor E(*F);
   E.provideInput({1, 2});
-  EXPECT_DEATH(E.run(1), "deadlock");
+  Status St = E.tryRun(1);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("deadlock"), std::string::npos);
 }
 
 TEST(Exec, BatchLimitOneStillCorrect) {
@@ -216,7 +222,7 @@ TEST(Exec, BatchLimitOneStillCorrect) {
   Executor::Options O;
   O.BatchLimit = 1;
   Executor E(P, O);
-  E.run(4);
+  E.tryRun(4).orDie();
   ASSERT_GE(E.printed().size(), 4u);
   for (int K = 0; K != 4; ++K)
     EXPECT_DOUBLE_EQ(E.printed()[static_cast<size_t>(K)], 6.0 * K + 8.0);
@@ -247,7 +253,7 @@ TEST(Exec, ChannelCapDerivation) {
   }
 }
 
-TEST(ExecDeath, SweepThatFiresNothingDiagnosesDeadlock) {
+TEST(Exec, SweepThatFiresNothingDiagnosesDeadlock) {
   // A feedback loop with no enqueued items passes rate analysis but can
   // never start: the very first sweep fires nothing and must be
   // diagnosed as a deadlock rather than spinning.
@@ -256,7 +262,10 @@ TEST(ExecDeath, SweepThatFiresNothingDiagnosesDeadlock) {
       Splitter::roundRobin({1, 1}), std::vector<double>{});
   Executor E(*FB);
   E.provideInput({1, 2, 3, 4});
-  EXPECT_DEATH(E.run(1), "deadlocked: no node can fire");
+  Status St = E.tryRun(1);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("deadlocked: no node can fire"),
+            std::string::npos);
 }
 
 TEST(Exec, TinyChannelCapStillMakesProgress) {
@@ -271,7 +280,7 @@ TEST(Exec, TinyChannelCapStillMakesProgress) {
   O.ChannelCap = 2;
   O.BatchLimit = 3;
   Executor E(P, O);
-  E.run(16);
+  E.tryRun(16).orDie();
   ASSERT_GE(E.printed().size(), 16u);
   for (int K = 0; K != 16; ++K)
     EXPECT_DOUBLE_EQ(E.printed()[static_cast<size_t>(K)], 2.0 * K);

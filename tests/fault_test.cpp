@@ -28,6 +28,7 @@
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 #include "support/OpCounters.h"
+#include "support/RuntimeConfig.h"
 #include "TestGraphs.h"
 
 #include <gtest/gtest.h>
@@ -84,7 +85,7 @@ CompiledProgramRef makeProgram(const Stream &Root,
 /// Runs a fresh executor over \p P and returns the first \p N outputs.
 std::vector<double> runProgram(const CompiledProgramRef &P, size_t N) {
   CompiledExecutor E(P);
-  E.run(N);
+  E.tryRun(N).orDie();
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)
@@ -247,9 +248,21 @@ TEST(StatusExpected, CodesContextsAndValues) {
   EXPECT_EQ(E.status().code(), ErrorCode::Corrupt);
 }
 
+TEST(StatusExpectedDeath, OrDieAbortsWithTheStatusText) {
+  Status Ok;
+  Ok.orDie(); // Ok: a no-op
+  Expected<int> V = 7;
+  EXPECT_EQ(V.orDie(), 7);
+
+  Status St(ErrorCode::Deadlock, "stream graph deadlocked");
+  EXPECT_DEATH(St.orDie(), "deadlock: stream graph deadlocked");
+  Expected<int> E = Status(ErrorCode::RateError, "inconsistent loop rates");
+  EXPECT_DEATH(E.orDie(), "rate-error: inconsistent loop rates");
+}
+
 TEST(StatusExpected, RatesTryFormsReportRateError) {
-  // The exec_test death test's graph, through the recoverable route: an
-  // unbalanced feedback loop names its inconsistency in a Status.
+  // exec_test's unbalanced feedback loop: the rate solver names its
+  // inconsistency in a Status.
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeAdder(2), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
@@ -457,6 +470,48 @@ TEST(StoreMaintenance, QuotaEvictsOldestFirstAndSparesTheFreshPublish) {
   EXPECT_EQ(Miss.status().code(), ErrorCode::IoError);
 }
 
+TEST(StoreMaintenance, EnvKnobsBoundAFreshStore) {
+  FaultGuard G;
+  StoreGuard Guard;
+  StreamPtr RootOld = firSourcePipeline({6, 7}, "env-old");
+  StreamPtr RootA = firSourcePipeline({1, 2}, "env-a");
+  StreamPtr RootB = firSourcePipeline({3, 4, 5}, "env-b");
+  CompiledProgramRef Old = makeProgram(*RootOld), A = makeProgram(*RootA),
+                     B = makeProgram(*RootB);
+  ASSERT_TRUE(Guard.store().tryStore(keyFor(Old), *Old).isOk());
+  ASSERT_TRUE(Guard.store().tryStore(keyFor(A), *A).isOk());
+  std::string PathOld = Guard.store().pathFor(keyFor(Old));
+  std::string PathA = Guard.store().pathFor(keyFor(A));
+  uint64_t SizeA = std::filesystem::file_size(PathA);
+  setFileAge(PathOld, 2 * 3600); // past the TTL below
+  setFileAge(PathA, 1800);       // within it, but older than B
+
+  // The budget and TTL come from the environment alone: no setter.
+  struct EnvScope {
+    ~EnvScope() {
+      ::unsetenv("SLIN_STORE_MAX_BYTES");
+      ::unsetenv("SLIN_STORE_TTL_S");
+      RuntimeConfig::refreshFromEnv();
+    }
+  } Env;
+  ::setenv("SLIN_STORE_MAX_BYTES", std::to_string(SizeA + SizeA).c_str(), 1);
+  ::setenv("SLIN_STORE_TTL_S", "3600", 1);
+  RuntimeConfig::refreshFromEnv();
+  ArtifactStore Fresh(Guard.dir());
+
+  // Construction sweeps the expired artifact and keeps the live one.
+  EXPECT_FALSE(std::filesystem::exists(PathOld));
+  EXPECT_TRUE(std::filesystem::exists(PathA));
+  EXPECT_EQ(Fresh.stats().Evictions, 1u);
+
+  // Room for one artifact but not two: publishing B evicts A, the
+  // oldest, and spares B.
+  ASSERT_TRUE(Fresh.tryStore(keyFor(B), *B).isOk());
+  EXPECT_FALSE(std::filesystem::exists(PathA));
+  EXPECT_TRUE(std::filesystem::exists(Fresh.pathFor(keyFor(B))));
+  EXPECT_EQ(Fresh.stats().Evictions, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Pipeline degradation ladder: verifier trip -> Base-mode recompile
 //===----------------------------------------------------------------------===//
@@ -564,7 +619,7 @@ TEST(ExecutorTry, SeedPreconditionsComeBackAsShardAnomalies) {
   CompiledProgramRef P = makeProgram(*Fir);
   ASSERT_TRUE(P->shardInfo().Shardable) << P->shardInfo().Reason;
   CompiledExecutor E2(P);
-  E2.runIterations(4);
+  E2.tryRunIterations(4).orDie();
   St = E2.trySeedSteadyState(8);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::ShardAnomaly);
@@ -593,7 +648,7 @@ void expectSeedCorruptFallback(bool Persistent) {
   CompiledExecutor Ref(P);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  Ref.runIterations(Span);
+  Ref.tryRunIterations(Span).orDie();
   OpCounts RefOps = ops::counts() - Before;
 
   ParallelOptions PO;
@@ -634,7 +689,7 @@ TEST(ParallelFallback, NextSpanAfterFallbackContinuesCleanly) {
   ASSERT_TRUE(P->shardInfo().Shardable);
 
   CompiledExecutor Ref(P);
-  Ref.runIterations(240);
+  Ref.tryRunIterations(240).orDie();
 
   ParallelOptions PO;
   PO.Workers = 4;
@@ -685,7 +740,7 @@ TEST(RunDeadlineToken, GenerousDeadlineChangesNothing) {
   CompiledProgramRef P = makeProgram(*Root);
 
   CompiledExecutor Ref(P);
-  Ref.run(128);
+  Ref.tryRun(128).orDie();
 
   faults::RunDeadline DL = faults::RunDeadline::afterMillis(60'000);
   CompiledExecutor E(P);
@@ -707,13 +762,6 @@ TEST(RunDeadlineToken, ExpiredDeadlineStopsAParallelRun) {
   Status St = E.tryRunIterations(100, &DL);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::Timeout);
-}
-
-TEST(RunDeadlineToken, FromEnvReadsPerCall) {
-  ::setenv("SLIN_RUN_DEADLINE_MS", "5", 1);
-  EXPECT_TRUE(faults::RunDeadline::fromEnv().hasDeadline());
-  ::unsetenv("SLIN_RUN_DEADLINE_MS");
-  EXPECT_FALSE(faults::RunDeadline::fromEnv().hasDeadline());
 }
 
 //===----------------------------------------------------------------------===//
@@ -750,7 +798,7 @@ bool toolchainWorks() {
 std::vector<double> runWithModule(const CompiledProgramRef &P,
                                   codegen::NativeModuleRef M, size_t N) {
   CompiledExecutor E(P, std::move(M));
-  E.run(N);
+  E.tryRun(N).orDie();
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)

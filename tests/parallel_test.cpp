@@ -54,7 +54,7 @@ RefRun referenceRun(CompiledProgramRef P, int64_t Iters,
     E.provideInput(Input);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(Iters);
+  E.tryRunIterations(Iters).orDie();
   R.Ops = ops::counts() - Before;
   R.Out = E.outputSnapshot();
   R.Printed = E.printed();
@@ -70,7 +70,7 @@ RefRun parallelRun(CompiledProgramRef P, int64_t Iters, ParallelOptions Opts,
     E.provideInput(Input);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(Iters);
+  E.tryRunIterations(Iters).orDie();
   R.Ops = ops::counts() - Before;
   R.Out = E.outputSnapshot();
   R.Printed = E.printed();
@@ -242,7 +242,9 @@ TEST(ParallelExternalInput, InsufficientInputIsReportedUpFront) {
   CompiledProgramRef P = makeProgram(*Root);
   ParallelExecutor E(P, ParallelOptions());
   E.provideInput({1, 2, 3});
-  EXPECT_DEATH(E.runIterations(64), "external input");
+  Status St = E.tryRunIterations(64);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("external input"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -269,8 +271,8 @@ TEST(ParallelContinuation, SplitRunsEqualOneRun) {
   ParallelExecutor E(P, PO);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(S1);
-  E.runIterations(S2);
+  E.tryRunIterations(S1).orDie();
+  E.tryRunIterations(S2).orDie();
   OpCounts Ops = ops::counts() - Before;
 
   EXPECT_EQ(Ref.Printed, E.printed());
@@ -294,9 +296,9 @@ TEST(ParallelContinuation, SingleShardCallsContinueTheAdoptedTail) {
   ParallelExecutor E(P, PO);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(40);
-  E.runIterations(40);
-  E.runIterations(40);
+  E.tryRunIterations(40).orDie();
+  E.tryRunIterations(40).orDie();
+  E.tryRunIterations(40).orDie();
   OpCounts Ops = ops::counts() - Before;
   EXPECT_EQ(E.lastRunStats().WarmupIterations, 0)
       << "tail continuation must not replay";
@@ -308,7 +310,7 @@ TEST(ParallelRunByOutputs, ProbedPrintRatesReachTarget) {
   StreamPtr Root = shardGraphs()[1].Build(); // RateMismatch (print-driven)
   CompiledProgramRef P = makeProgram(*Root);
   ParallelExecutor E(P, ParallelOptions());
-  E.run(100);
+  E.tryRun(100).orDie();
   EXPECT_GE(E.outputsProduced(), 100u);
   // Prefix-identical to the engine the shards run on.
   auto Expect = collectOutputs(*Root, 100, Engine::Compiled);
@@ -453,7 +455,7 @@ TEST(ExecutorPool, ConcurrentRequestsMatchSequentialRuns) {
     CompiledExecutor E(P);
     ops::CountingScope Scope;
     OpCounts Before = ops::counts();
-    E.run(96);
+    E.tryRun(96).orDie();
     ExpectOps = ops::counts() - Before;
     Expect = E.printed();
   }
@@ -484,7 +486,7 @@ TEST(ConcurrencyStress, ExecutorsAndAnalysesInParallel) {
   CompiledProgramRef P = makeProgram(*Root);
   std::vector<double> Expect = [&] {
     CompiledExecutor E(P);
-    E.run(64);
+    E.tryRun(64).orDie();
     return E.printed();
   }();
 
@@ -495,7 +497,7 @@ TEST(ConcurrencyStress, ExecutorsAndAnalysesInParallel) {
       for (int R = 0; R != 3; ++R) {
         // Independent executor instances over the shared artifact.
         CompiledExecutor E(P);
-        E.run(64);
+        E.tryRun(64).orDie();
         if (E.printed() != Expect)
           ++Failures;
         // Concurrent compiles through the global caches.

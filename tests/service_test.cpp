@@ -96,7 +96,7 @@ std::vector<double> localReference(const std::string &Name, size_t N,
   Opts.Exec.Eng = Engine::Compiled;
   CompileResult R = compileStream(*Root, Opts);
   CompiledExecutor E(R.Program);
-  E.run(N);
+  E.tryRun(N).orDie();
   std::vector<double> Out = R.Program->graph().RootProducesOutput
                                 ? E.outputSnapshot()
                                 : E.printed();
@@ -137,6 +137,38 @@ TEST(RuntimeConfig, FromEnvParsesEveryKnob) {
   EXPECT_EQ(C.RunDeadlineMillis, 0);
   EXPECT_FALSE(C.NoCache);
   EXPECT_TRUE(C.FaultSpec.empty());
+}
+
+TEST(RuntimeConfig, NumericKnobsAcceptOnlyWholeNonNegativeIntegers) {
+  // A suffixed, negative or empty value counts as unset (0), never as
+  // the number a prefix parse would salvage from it.
+  struct Knob {
+    const char *Name;
+    const char *Suffixed;
+    uint64_t (*Field)(const RuntimeConfig &);
+  };
+  const Knob Knobs[] = {
+      {"SLIN_STORE_MAX_BYTES", "10M",
+       [](const RuntimeConfig &C) { return C.StoreMaxBytes; }},
+      {"SLIN_STORE_TTL_S", "1h",
+       [](const RuntimeConfig &C) {
+         return static_cast<uint64_t>(C.StoreTtlSeconds);
+       }},
+      {"SLIN_RUN_DEADLINE_MS", "5s", [](const RuntimeConfig &C) {
+         return static_cast<uint64_t>(C.RunDeadlineMillis);
+       }}};
+  for (const Knob &K : Knobs) {
+    SCOPED_TRACE(K.Name);
+    ::setenv(K.Name, "250", 1);
+    EXPECT_EQ(K.Field(RuntimeConfig::fromEnv()), 250u);
+    ::setenv(K.Name, K.Suffixed, 1);
+    EXPECT_EQ(K.Field(RuntimeConfig::fromEnv()), 0u);
+    ::setenv(K.Name, "-1", 1);
+    EXPECT_EQ(K.Field(RuntimeConfig::fromEnv()), 0u);
+    ::setenv(K.Name, "", 1);
+    EXPECT_EQ(K.Field(RuntimeConfig::fromEnv()), 0u);
+    ::unsetenv(K.Name);
+  }
 }
 
 TEST(RuntimeConfig, SnapshotRefreshesOnDemandNotPerRead) {

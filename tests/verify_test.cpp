@@ -452,7 +452,7 @@ TEST(StoreInventory, ListArtifactsRoundTripsKeys) {
   CompiledOptions Opts;
   CompiledProgram P(*Root, Opts);
   ArtifactStore::Key K{structuralHash(P.root()), hashOptions(Opts)};
-  ASSERT_TRUE(Store.store(K, P));
+  ASSERT_TRUE(Store.tryStore(K, P).isOk());
 
   std::vector<ArtifactStore::Key> Keys = Store.listArtifacts();
   ASSERT_EQ(Keys.size(), 1u);
@@ -460,7 +460,8 @@ TEST(StoreInventory, ListArtifactsRoundTripsKeys) {
   EXPECT_TRUE(Keys[0].Options == K.Options);
 
   // The listed key loads, and what the store serves lints clean.
-  std::shared_ptr<const CompiledProgram> Loaded = Store.load(Keys[0]);
+  std::shared_ptr<const CompiledProgram> Loaded =
+      Store.tryLoad(Keys[0]).orDie();
   ASSERT_NE(Loaded, nullptr);
   EXPECT_TRUE(Loaded->loadedFromArtifact());
   LintReport R = lintProgram(*Loaded);

@@ -139,16 +139,17 @@ int main(int Argc, char **Argv) {
       LoadFailed = true;
     }
     for (const ArtifactStore::Key &K : Keys) {
-      std::shared_ptr<const CompiledProgram> P = Store.load(K);
+      Expected<std::shared_ptr<const CompiledProgram>> P = Store.tryLoad(K);
       std::string Label = "artifact " + K.Structure.str().substr(0, 12);
       if (!P) {
         std::fprintf(stderr,
-                     "slin-lint: artifact %s-%s failed to load/validate\n",
-                     K.Structure.str().c_str(), K.Options.str().c_str());
+                     "slin-lint: artifact %s-%s failed to load/validate: %s\n",
+                     K.Structure.str().c_str(), K.Options.str().c_str(),
+                     P.status().str().c_str());
         LoadFailed = true;
         continue;
       }
-      Results.push_back({Label, verify::lintProgram(*P)});
+      Results.push_back({Label, verify::lintProgram(**P)});
     }
   }
 
