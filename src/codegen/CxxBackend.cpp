@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -48,16 +49,25 @@ bool writeTextFile(const std::string &Path, const std::string &Text) {
   return Ok;
 }
 
-/// First line or so of the compiler's stderr, for the degrade reason.
+/// A line or so of the compiler's stderr for the degrade reason,
+/// starting at the first line that mentions an error: warnings and
+/// "In function" context come first in compiler output and would
+/// otherwise crowd the actual error out of the excerpt.
 std::string stderrExcerpt(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return std::string();
-  char Buf[240];
-  size_t N = std::fread(Buf, 1, sizeof(Buf) - 1, F);
+  std::string All(64 * 1024, '\0');
+  All.resize(std::fread(&All[0], 1, All.size(), F));
   std::fclose(F);
-  Buf[N] = '\0';
-  std::string S(Buf);
+  size_t At = All.find("error");
+  if (At == std::string::npos) {
+    At = 0;
+  } else {
+    size_t LineEnd = All.rfind('\n', At);
+    At = LineEnd == std::string::npos ? 0 : LineEnd + 1;
+  }
+  std::string S = All.substr(At, 239);
   for (char &C : S)
     if (C == '\n' || C == '\r')
       C = ' ';
@@ -94,11 +104,17 @@ std::string preamble() {
        "  void (*Fail)(const char *);\n"
        "};\n"
        "\n"
-       "__attribute__((unused)) static double "
-       "slin_bits_(unsigned long long B) {\n"
-       "  double D;\n"
-       "  __builtin_memcpy(&D, &B, 8);\n"
-       "  return D;\n"
+       "// Shapes are compiled once: no inlining into the trampolines and\n"
+       "// (GCC) no per-caller constant-propagated clones.\n"
+       "#if defined(__clang__)\n"
+       "#define SLIN_SHAPE_ __attribute__((noinline)) static\n"
+       "#else\n"
+       "#define SLIN_SHAPE_ __attribute__((noinline, noclone)) static\n"
+       "#endif\n"
+       "\n"
+       "// constexpr, so NaN/Inf table entries initialise statically.\n"
+       "static constexpr double slin_bits_(unsigned long long B) {\n"
+       "  return __builtin_bit_cast(double, B);\n"
        "}\n"
        "\n"
        "[[noreturn]] __attribute__((unused, cold, noinline)) static void\n"
@@ -119,8 +135,10 @@ std::string preamble() {
        "  __builtin_unreachable();\n"
        "}\n"
        "\n";
-  P += "extern \"C\" unsigned slin_abi_version_ = " +
-       std::to_string(codegenVersion()) + "u;\n\n";
+  // Brace form: `extern "C" unsigned x = N;` is a definition that
+  // compilers warn about ("initialized and declared 'extern'").
+  P += "extern \"C\" { unsigned slin_abi_version_ = " +
+       std::to_string(codegenVersion()) + "u; }\n\n";
   return P;
 }
 
@@ -152,10 +170,48 @@ std::string slin::codegen::discoverCompiler() {
   return Found;
 }
 
+std::string slin::codegen::nativeCompileFlags() {
+  // -ffp-contract=off and -fno-builtin are bit-identity requirements
+  // (no FMA contraction, no compile-time libm folding); everything else
+  // is plain optimized shared-object compilation.
+  return "-O3 -march=native -ffp-contract=off -fno-builtin -fPIC -shared "
+         "-std=c++17 -x c++";
+}
+
 int slin::codegen::emitProgramSource(const CompiledProgram &P,
                                      std::string &Src) {
-  Src = preamble();
+  // Tape bodies are emitted once per distinct text (shape), numbered in
+  // order of first appearance; each node's entry point is a trampoline
+  // that passes its own constant table to its shape.
+  std::map<std::string, size_t> ShapeIds;
+  std::string Shapes, Nodes;
   int Emitted = 0;
+  auto EmitTape = [&](const wir::OpProgram &T, const std::string &Fn) {
+    std::vector<double> Consts;
+    std::string Body;
+    if (!wir::CxxTapeEmitter::emit(T, Consts, Body))
+      return false;
+    auto Ins = ShapeIds.emplace(std::move(Body), ShapeIds.size());
+    std::string Shape = "slin_s" + std::to_string(Ins.first->second);
+    if (Ins.second)
+      Shapes += "SLIN_SHAPE_ void " + Shape + Ins.first->first + "\n";
+    std::string Table = "nullptr";
+    if (!Consts.empty()) {
+      Table = Fn + "_c";
+      Nodes += "static constexpr double " + Table + "[] = {";
+      for (size_t I = 0; I != Consts.size(); ++I)
+        Nodes += std::string(I % 4 ? " " : "\n  ") +
+                 wir::cxxDoubleLiteral(Consts[I]) + ",";
+      Nodes += "\n};\n";
+    }
+    Nodes += "extern \"C\" void " + Fn +
+             "(const SlinNativeCtx *Ctx, const double *In, double *Out, "
+             "long K) { " +
+             Shape + "(" + Table + ", Ctx, In, Out, K); }\n\n";
+    ++Emitted;
+    return true;
+  };
+
   const flat::FlatGraph &G = P.graph();
   for (size_t I = 0; I != G.Nodes.size(); ++I) {
     if (G.Nodes[I].Kind != flat::NodeKind::Filter)
@@ -163,22 +219,16 @@ int slin::codegen::emitProgramSource(const CompiledProgram &P,
     const CompiledProgram::FilterArtifact &A = P.filterArtifact(I);
     std::string Base = "slin_f" + std::to_string(I);
     if (A.Native) {
-      if (A.Native->emitBatchCxx(Src, Base + "_batch")) {
-        Src += "\n";
+      if (A.Native->emitBatchCxx(Nodes, Base + "_batch")) {
+        Nodes += "\n";
         ++Emitted;
       }
       continue;
     }
-    if (wir::CxxTapeEmitter::emit(A.Work, Base, Src)) {
-      Src += "\n";
-      ++Emitted;
-      if (!A.InitWork.empty() &&
-          wir::CxxTapeEmitter::emit(A.InitWork, Base + "_init", Src)) {
-        Src += "\n";
-        ++Emitted;
-      }
-    }
+    if (EmitTape(A.Work, Base) && !A.InitWork.empty())
+      EmitTape(A.InitWork, Base + "_init");
   }
+  Src = preamble() + Shapes + Nodes;
   return Emitted;
 }
 
@@ -243,13 +293,8 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
     return R;
   }
 
-  // -ffp-contract=off and -fno-builtin are bit-identity requirements
-  // (no FMA contraction, no compile-time libm folding); everything else
-  // is plain optimized shared-object compilation. A ccache shim named
-  // by SLIN_CXX works unchanged.
-  std::string Cmd = shQuote(Cxx) +
-                    " -O3 -march=native -ffp-contract=off -fno-builtin"
-                    " -fPIC -shared -std=c++17 -x c++ " +
+  // A ccache shim named by SLIN_CXX works unchanged.
+  std::string Cmd = shQuote(Cxx) + " " + nativeCompileFlags() + " " +
                     shQuote(SrcPath) + " -o " + shQuote(Obj) + " 2>" +
                     shQuote(CcErrPath);
   R.CompilerRan = true;

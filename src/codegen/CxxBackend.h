@@ -2,17 +2,29 @@
 ///
 /// \file
 /// The build half of the native engine: walks a CompiledProgram, emits
-/// one self-contained C++ translation unit (preamble with the
-/// SlinNativeCtx ABI and failure helpers, then one function per firing
-/// tape via wir/CxxEmit.h plus batch kernels from native filters that
-/// implement emitBatchCxx), compiles it out-of-process with the
-/// discovered toolchain —
+/// one self-contained C++ translation unit, compiles it out-of-process
+/// with the discovered toolchain and dlopens the result. The unit holds:
 ///
-///     $CXX -O3 -march=native -ffp-contract=off -fPIC -shared
+///   - a preamble with the SlinNativeCtx ABI and failure helpers;
+///   - one `static` function `slin_s<j>` per distinct firing-tape body
+///     (a *shape*, wir/CxxEmit.h), numbered in order of first
+///     appearance — tapes that differ only in their constants share one;
+///   - per node, a `static constexpr double slin_f<I>_c[]` constant
+///     table and the `extern "C"` entry point `slin_f<I>` (and
+///     `slin_f<I>_init`) as a one-line trampoline into its shape;
+///   - batch kernels from native filters that implement emitBatchCxx
+///     (`slin_f<I>_batch`, coefficients in their own static tables).
+///
+/// Radar's twelve channels run one filter shape with twelve coefficient
+/// sets, so its 50 entry points compile as 8 bodies. Shapes and tables
+/// are private to the unit: NativeModule::open resolves only the entry
+/// points, which keep the NativeCtx signature. The compile command is
+///
+///     $CXX -O3 -march=native -ffp-contract=off -fno-builtin -fPIC -shared
 ///
 /// (-ffp-contract=off is load-bearing: it forbids FMA contraction, the
 /// one -march=native licence that would change rounding and break
-/// bit-identity with the interpreter) — and dlopens the result.
+/// bit-identity with the interpreter).
 ///
 /// Toolchain discovery: SLIN_CXX names the compiler verbatim (no
 /// probing; a nonexistent path degrades cleanly — the CI no-toolchain
@@ -52,10 +64,14 @@ std::string discoverCompiler();
 bool nativeDisabled();
 
 /// Emits the complete translation unit for \p P into \p Src (replacing
-/// its contents). Returns the number of functions emitted (0: nothing in
-/// this program lowers — callers should degrade without invoking a
+/// its contents). Returns the number of entry points emitted (0: nothing
+/// in this program lowers — callers should degrade without invoking a
 /// compiler).
 int emitProgramSource(const CompiledProgram &P, std::string &Src);
+
+/// The compiler flags buildNativeModule passes before the source path
+/// (ending in `-x c++`).
+std::string nativeCompileFlags();
 
 /// What one emit + compile + publish + dlopen attempt produced. Null
 /// Module means degradation; Error then has the human-readable reason

@@ -14,7 +14,7 @@
 using namespace slin;
 using namespace slin::codegen;
 
-uint32_t slin::codegen::codegenVersion() { return 1; }
+uint32_t slin::codegen::codegenVersion() { return 2; }
 
 //===----------------------------------------------------------------------===//
 // NativeModule

@@ -78,7 +78,8 @@ struct NodeFns {
 
 /// Bumped whenever the emitted source, the NativeCtx ABI, the symbol
 /// naming scheme or the build flags change: cached objects from older
-/// schemes become plain misses.
+/// schemes become plain misses. Scheme 2: each tape body is emitted once
+/// per shape and reads its constants from per-node tables.
 uint32_t codegenVersion();
 
 /// A loaded shared object plus its node function table. Immutable;

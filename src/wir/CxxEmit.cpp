@@ -104,7 +104,7 @@ const char *intrinsicCall(int32_t Fn) {
 
 } // namespace
 
-bool CxxTapeEmitter::emit(const OpProgram &P, const std::string &Fn,
+bool CxxTapeEmitter::emit(const OpProgram &P, std::vector<double> &Consts,
                           std::string &Src) {
   if (P.Code.empty())
     return false;
@@ -129,13 +129,20 @@ bool CxxTapeEmitter::emit(const OpProgram &P, const std::string &Fn,
     }
   }
 
+  // Constants become loads from the caller's table, numbered in emission
+  // order, so two tapes that differ only in their literals emit one text.
+  std::vector<double> Cst;
+  auto ConstRef = [&](double V) {
+    Cst.push_back(V);
+    return "Cst[" + std::to_string(Cst.size() - 1) + "]";
+  };
+
   Body B;
-  B.Out += "extern \"C\" void " + Fn +
-           "(const SlinNativeCtx *Ctx, const double *In, double *Out, "
-           "long K) {\n";
+  B.Out += "(const double *__restrict Cst, const SlinNativeCtx *Ctx, "
+           "const double *In, double *Out, long K) {\n";
   B.line("double *const *Fld = Ctx->Fld;");
   B.line("const int *FldSz = Ctx->FldSz;");
-  B.line("(void)Fld; (void)FldSz; (void)In; (void)Out;");
+  B.line("(void)Cst; (void)Fld; (void)FldSz; (void)In; (void)Out;");
   B.line("for (long k_ = 0; k_ != K; ++k_) {");
 
   // Per-firing frame, zeroed exactly like the dispatch loop: registers
@@ -164,7 +171,7 @@ bool CxxTapeEmitter::emit(const OpProgram &P, const std::string &Fn,
     };
     switch (I.K) {
     case Op::Const:
-      Emit(reg(I.A) + " = " + cxxDoubleLiteral(I.Imm) + ";");
+      Emit(reg(I.A) + " = " + ConstRef(I.Imm) + ";");
       break;
     case Op::Copy:
       Emit(reg(I.A) + " = " + reg(I.B) + ";");
@@ -303,8 +310,7 @@ bool CxxTapeEmitter::emit(const OpProgram &P, const std::string &Fn,
       break;
     }
     case Op::AddImm:
-      Emit(reg(I.A) + " = " + reg(I.B) + " + " + cxxDoubleLiteral(I.Imm) +
-           ";");
+      Emit(reg(I.A) + " = " + reg(I.B) + " + " + ConstRef(I.Imm) + ";");
       break;
     case Op::Jump:
       Emit("goto L" + std::to_string(I.A) + "_;");
@@ -338,5 +344,6 @@ bool CxxTapeEmitter::emit(const OpProgram &P, const std::string &Fn,
   B.line("}");
   B.Out += "}\n";
   Src += B.Out;
+  Consts = std::move(Cst);
   return true;
 }

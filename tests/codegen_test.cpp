@@ -5,7 +5,10 @@
 // linear batch kernels against the op-tape interpreter, the warm-restart
 // path (a stored .so dlopens with zero compiler passes and zero codegen),
 // the SLIN_NO_CACHE disk-tier bypass, clean degradation without a
-// toolchain (SLIN_CXX=/nonexistent) and under SLIN_NO_NATIVE, the
+// toolchain (SLIN_CXX=/nonexistent) and under SLIN_NO_NATIVE, compile
+// failure reasons that quote the error, one emitted body per tape shape
+// (exact counts, Radar included), constant tables that keep awkward
+// doubles bit-exact, warning-free emitted units, the
 // pipeline's native-codegen pass bookkeeping, and FLOP-count preservation
 // (counting runs fall back to the tapes, so Engine::Native reports the
 // interpreter's numbers).
@@ -15,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Benchmarks.h"
 #include "codegen/CxxBackend.h"
 #include "codegen/NativeModule.h"
 #include "compiler/ArtifactStore.h"
@@ -30,9 +34,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -164,6 +171,95 @@ StreamPtr tapeZooPipeline() {
   return P;
 }
 
+/// N filters that differ only in their constants (Const and AddImm
+/// immediates), reading external input: one tape shape, N entry points.
+StreamPtr coefficientVariantsPipeline(int N) {
+  using namespace slin::wir;
+  using namespace slin::wir::build;
+  auto P = std::make_unique<Pipeline>("variants");
+  for (int I = 0; I != N; ++I) {
+    double C0 = 1.5 + I, C1 = -0.25 - I, Off = 1.0 / (I + 3);
+    P->add(std::make_unique<Filter>(
+        "taps" + std::to_string(I), std::vector<FieldDef>{},
+        WorkFunction(2, 1, 1,
+                     stmts(push(add(add(mul(cst(C0), peek(0)),
+                                        mul(cst(C1), peek(1))),
+                                    cst(Off))),
+                           popStmt()))));
+  }
+  return P;
+}
+
+/// Doubles that a constant table must carry bit for bit.
+const uint64_t AwkwardBits[] = {
+    0x8000000000000000ULL, // -0.0
+    0x7ff0000000000000ULL, // +Inf
+    0xfff800000000beefULL, // negative quiet NaN with a payload
+    0x0000000000000003ULL, // subnormal
+};
+
+double fromBits(uint64_t Bits) {
+  double D;
+  std::memcpy(&D, &Bits, sizeof(D));
+  return D;
+}
+
+/// Source -> a filter that uses every awkward double both as a Const
+/// (pushed as is) and as an AddImm (added to its input) -> printer.
+StreamPtr awkwardConstantsPipeline() {
+  using namespace slin::wir;
+  using namespace slin::wir::build;
+  StmtList Body;
+  Body.push_back(assign("x", pop()));
+  for (uint64_t Bits : AwkwardBits) {
+    Body.push_back(push(cst(fromBits(Bits))));
+    Body.push_back(push(add(vr("x"), cst(fromBits(Bits)))));
+  }
+  auto P = std::make_unique<Pipeline>("awkward");
+  P->add(makeCountingSource());
+  P->add(std::make_unique<Filter>(
+      "awkward", std::vector<FieldDef>{},
+      WorkFunction(1, 1, 2 * static_cast<int>(std::size(AwkwardBits)),
+                   std::move(Body))));
+  P->add(makePrinterSink());
+  return P;
+}
+
+size_t occurrences(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Text.find(Needle); At != std::string::npos;
+       At = Text.find(Needle, At + Needle.size()))
+    ++N;
+  return N;
+}
+
+/// Emitted shape bodies and extern "C" entry points in \p Src.
+size_t shapeCount(const std::string &Src) {
+  return occurrences(Src, "SLIN_SHAPE_ void slin_s");
+}
+size_t entryPointCount(const std::string &Src) {
+  return occurrences(Src, "extern \"C\" void slin_f");
+}
+
+/// The nine fig 5-1 apps under AutoSel, lowered once per test binary.
+const std::vector<std::pair<std::string, CompiledProgramRef>> &
+autoSelApps() {
+  static const auto Apps = [] {
+    std::vector<std::pair<std::string, CompiledProgramRef>> V;
+    for (const apps::BenchmarkEntry &B : apps::allBenchmarks()) {
+      StreamPtr Root = B.Build();
+      PipelineOptions PO;
+      PO.Mode = OptMode::AutoSel;
+      PO.Exec.Eng = Engine::Compiled;
+      PO.UseProgramCache = false;
+      CompileResult R = CompilerPipeline(PO).tryCompile(*Root).orDie();
+      V.emplace_back(B.Name, R.Program);
+    }
+    return V;
+  }();
+  return Apps;
+}
+
 CompiledProgramRef makeProgram(const Stream &Root,
                                CompiledOptions Opts = CompiledOptions()) {
   return std::make_shared<const CompiledProgram>(Root, Opts);
@@ -288,6 +384,110 @@ TEST(NativeCodegen, EmittedLinearKernelBitIdenticalToHostKernel) {
   auto Host = runWith(R.Program, nullptr, 200);
   auto Native = runWith(R.Program, M, 200);
   EXPECT_EQ(Host, Native);
+}
+
+//===----------------------------------------------------------------------===//
+// One body per tape shape
+//===----------------------------------------------------------------------===//
+
+TEST(CxxBackend, FiltersDifferingOnlyInConstantsShareOneShape) {
+  // Exact counts: a constant re-inlined into the body would make every
+  // filter its own shape.
+  const int N = 6;
+  StreamPtr Root = coefficientVariantsPipeline(N);
+  CompiledProgramRef P = makeProgram(*Root);
+  std::string Src;
+  EXPECT_EQ(codegen::emitProgramSource(*P, Src), N);
+  EXPECT_EQ(shapeCount(Src), 1u) << Src;
+  EXPECT_EQ(entryPointCount(Src), static_cast<size_t>(N));
+  for (int I = 0; I != N; ++I)
+    EXPECT_NE(Src.find("slin_s0(slin_f" + std::to_string(I) + "_c, "),
+              std::string::npos)
+        << "node " << I << " does not trampoline into the shared shape";
+}
+
+TEST(CxxBackend, RadarEmitsEightShapesForFiftyEntryPoints) {
+  // Radar's twelve channels run the same filters with their own
+  // coefficients.
+  for (const auto &[Name, P] : autoSelApps()) {
+    if (Name != "Radar")
+      continue;
+    std::string Src;
+    EXPECT_EQ(codegen::emitProgramSource(*P, Src), 50);
+    EXPECT_EQ(shapeCount(Src), 8u);
+    EXPECT_EQ(entryPointCount(Src), 50u);
+    return;
+  }
+  FAIL() << "no Radar benchmark";
+}
+
+TEST(NativeCodegen, AwkwardConstantsStayBitExactThroughTheTables) {
+  if (!haveToolchain())
+    GTEST_SKIP() << "no C++ toolchain available";
+  NativeGuard NG;
+  StreamPtr Root = awkwardConstantsPipeline();
+  CompiledProgramRef P = makeProgram(*Root);
+
+  // The tables are constexpr, so a NaN or Inf entry that is not a
+  // constant expression fails the compile rather than adding a dynamic
+  // initialiser; the non-finite ones go through the preamble's helper.
+  std::string Src;
+  ASSERT_GT(codegen::emitProgramSource(*P, Src), 0);
+  EXPECT_NE(Src.find("static constexpr double slin_f1_c[]"),
+            std::string::npos);
+  EXPECT_EQ(occurrences(Src, "slin_bits_(0x"), 2u * 2u) << Src;
+
+  std::string Reason;
+  codegen::NativeModuleRef M =
+      codegen::NativeModuleCache::global().get(*P, &Reason);
+  ASSERT_NE(M, nullptr) << Reason;
+  auto Tapes = runWith(P, nullptr, 160);
+  auto Native = runWith(P, M, 160);
+  ASSERT_EQ(Tapes.size(), Native.size());
+  // memcmp, not EXPECT_EQ: NaN != NaN, and the payload and the sign of
+  // zero must survive too.
+  EXPECT_EQ(0, std::memcmp(Tapes.data(), Native.data(),
+                           Tapes.size() * sizeof(double)));
+  // The pushed constants themselves come out with their exact bits.
+  for (size_t I = 0; I != std::size(AwkwardBits); ++I) {
+    uint64_t Got;
+    std::memcpy(&Got, &Native[2 * I], sizeof(Got));
+    EXPECT_EQ(Got, AwkwardBits[I]) << "constant " << I;
+  }
+}
+
+TEST(NativeCodegen, EmittedUnitsCompileWithoutWarnings) {
+  if (!haveToolchain())
+    GTEST_SKIP() << "no C++ toolchain available";
+  StreamPtr Zoo = tapeZooPipeline();
+  std::vector<std::pair<std::string, CompiledProgramRef>> Programs = {
+      {"zoo", makeProgram(*Zoo)}};
+  for (const auto &App : autoSelApps())
+    Programs.push_back(App);
+
+  std::string Dir =
+      (std::filesystem::temp_directory_path() /
+       ("slin-codegen-syntax-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(Dir);
+  for (const auto &[Name, P] : Programs) {
+    std::string Src;
+    ASSERT_GT(codegen::emitProgramSource(*P, Src), 0) << Name;
+    std::string Path = Dir + "/" + Name + ".cpp", Err = Dir + "/cc.err";
+    std::ofstream(Path) << Src;
+    std::string Cmd = "'" + codegen::discoverCompiler() +
+                      "' -fsyntax-only -Werror " +
+                      codegen::nativeCompileFlags() + " '" + Path +
+                      "' 2>'" + Err + "'";
+    int Rc = std::system(Cmd.c_str());
+    std::ifstream ErrIn(Err);
+    std::string Diag((std::istreambuf_iterator<char>(ErrIn)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_TRUE(Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0)
+        << Name << ": " << Diag;
+  }
+  std::error_code EC;
+  std::filesystem::remove_all(Dir, EC);
 }
 
 //===----------------------------------------------------------------------===//
@@ -451,6 +651,37 @@ TEST(NativeCodegen, MissingToolchainDegradesCleanlyAndNegativelyCaches) {
   auto Degraded = collectOutputs(*Root, 96, Engine::Native);
   auto Reference = collectOutputs(*Root, 96, Engine::Compiled);
   EXPECT_EQ(Degraded, Reference);
+}
+
+TEST(NativeCodegen, CompileFailureReasonQuotesTheError) {
+  // A stand-in compiler that prints a harmless warning, then the error,
+  // and fails: the degrade reason must carry the error line, which a
+  // plain head-of-stderr excerpt would crowd out.
+  NativeGuard NG;
+  std::string Script =
+      (std::filesystem::temp_directory_path() /
+       ("slin-fake-cxx-" + std::to_string(::getpid()) + ".sh"))
+          .string();
+  {
+    std::ofstream Out(Script);
+    Out << "#!/bin/sh\n"
+           "echo 'program.cpp:3:1: warning: something harmless' >&2\n"
+           "echo 'program.cpp:9:4: error: the actual problem' >&2\n"
+           "exit 1\n";
+  }
+  std::filesystem::permissions(Script, std::filesystem::perms::owner_all);
+  EnvGuard CXX("SLIN_CXX", Script.c_str());
+  StreamPtr Root = firSourcePipeline({1.0, -1.0, 2.0});
+  CompiledProgramRef P = makeProgram(*Root);
+
+  std::string Reason;
+  EXPECT_EQ(codegen::NativeModuleCache::global().get(*P, &Reason), nullptr);
+  EXPECT_NE(Reason.find("program.cpp:9:4: error: the actual problem"),
+            std::string::npos)
+      << Reason;
+  EXPECT_EQ(Reason.find("warning"), std::string::npos) << Reason;
+  EXPECT_EQ(codegen::NativeModuleCache::global().stats().CompileFailures, 1u);
+  std::filesystem::remove(Script);
 }
 
 TEST(NativeCodegen, SlinNoNativeDisablesCodegenOutright) {
