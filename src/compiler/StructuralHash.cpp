@@ -3,9 +3,10 @@
 #include "compiler/StructuralHash.h"
 
 #include "support/Diag.h"
+#include "support/Serialize.h"
+#include "wir/IRSerialize.h"
 
 using namespace slin;
-using namespace slin::wir;
 
 namespace {
 
@@ -18,155 +19,9 @@ enum HashTag : uint64_t {
   TagFeedback = 0x14,
   TagNativeContent = 0x15,
   TagNativeIdentity = 0x16,
-  TagWork = 0x21,
-  TagInitWork = 0x22,
-  TagField = 0x23,
-  TagExpr = 0x31,
-  TagStmt = 0x32,
+  TagIRContent = 0x17,
   TagLinearNode = 0x41,
 };
-
-void hashExpr(HashStream &H, const Expr &E);
-
-void hashExprOpt(HashStream &H, const Expr *E) {
-  if (!E) {
-    H.mix(0);
-    return;
-  }
-  H.mix(1);
-  hashExpr(H, *E);
-}
-
-void hashExpr(HashStream &H, const Expr &E) {
-  H.mix(TagExpr);
-  H.mixInt(static_cast<int64_t>(E.kind()));
-  switch (E.kind()) {
-  case ExprKind::Const:
-    H.mixDouble(cast<ConstExpr>(&E)->Value);
-    return;
-  case ExprKind::VarRef:
-    H.mixString(cast<VarRefExpr>(&E)->Name);
-    return;
-  case ExprKind::ArrayRef: {
-    const auto *A = cast<ArrayRefExpr>(&E);
-    H.mixString(A->Name);
-    hashExpr(H, *A->Index);
-    return;
-  }
-  case ExprKind::FieldRef: {
-    const auto *F = cast<FieldRefExpr>(&E);
-    H.mixString(F->Name);
-    hashExprOpt(H, F->Index.get());
-    return;
-  }
-  case ExprKind::Peek:
-    hashExpr(H, *cast<PeekExpr>(&E)->Index);
-    return;
-  case ExprKind::Pop:
-    return;
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    H.mixInt(static_cast<int64_t>(B->Op));
-    hashExpr(H, *B->LHS);
-    hashExpr(H, *B->RHS);
-    return;
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(&E);
-    H.mixInt(static_cast<int64_t>(U->Op));
-    hashExpr(H, *U->Operand);
-    return;
-  }
-  case ExprKind::Call: {
-    const auto *C = cast<CallExpr>(&E);
-    H.mixInt(static_cast<int64_t>(C->Fn));
-    hashExpr(H, *C->Arg);
-    return;
-  }
-  }
-  unreachable("unknown expr kind");
-}
-
-void hashStmts(HashStream &H, const StmtList &Body);
-
-void hashStmt(HashStream &H, const Stmt &S) {
-  H.mix(TagStmt);
-  H.mixInt(static_cast<int64_t>(S.kind()));
-  switch (S.kind()) {
-  case StmtKind::Assign: {
-    const auto *A = cast<AssignStmt>(&S);
-    H.mixString(A->Name);
-    hashExpr(H, *A->Value);
-    return;
-  }
-  case StmtKind::ArrayAssign: {
-    const auto *A = cast<ArrayAssignStmt>(&S);
-    H.mixString(A->Name);
-    hashExpr(H, *A->Index);
-    hashExpr(H, *A->Value);
-    return;
-  }
-  case StmtKind::FieldAssign: {
-    const auto *F = cast<FieldAssignStmt>(&S);
-    H.mixString(F->Name);
-    hashExprOpt(H, F->Index.get());
-    hashExpr(H, *F->Value);
-    return;
-  }
-  case StmtKind::LocalArray: {
-    const auto *L = cast<LocalArrayStmt>(&S);
-    H.mixString(L->Name);
-    H.mixInt(L->Size);
-    return;
-  }
-  case StmtKind::Push:
-    hashExpr(H, *cast<PushStmt>(&S)->Value);
-    return;
-  case StmtKind::PopDiscard:
-    return;
-  case StmtKind::For: {
-    const auto *F = cast<ForStmt>(&S);
-    H.mixString(F->Var);
-    hashExpr(H, *F->Begin);
-    hashExpr(H, *F->End);
-    hashStmts(H, F->Body);
-    return;
-  }
-  case StmtKind::If: {
-    const auto *I = cast<IfStmt>(&S);
-    hashExpr(H, *I->Cond);
-    hashStmts(H, I->Then);
-    hashStmts(H, I->Else);
-    return;
-  }
-  case StmtKind::Print:
-    hashExpr(H, *cast<PrintStmt>(&S)->Value);
-    return;
-  case StmtKind::Uncounted:
-    hashStmts(H, cast<UncountedStmt>(&S)->Body);
-    return;
-  }
-  unreachable("unknown stmt kind");
-}
-
-void hashStmts(HashStream &H, const StmtList &Body) {
-  H.mix(Body.size());
-  for (const StmtPtr &S : Body)
-    hashStmt(H, *S);
-}
-
-void hashFields(HashStream &H, const std::vector<FieldDef> &Fields) {
-  H.mix(Fields.size());
-  for (const FieldDef &F : Fields) {
-    H.mix(TagField);
-    H.mixString(F.Name);
-    H.mix(F.IsArray ? 1 : 0);
-    H.mix(F.IsMutable ? 1 : 0);
-    H.mix(F.Init.size());
-    for (double V : F.Init)
-      H.mixDouble(V);
-  }
-}
 
 void hashWeights(HashStream &H, const std::vector<int> &W) {
   H.mix(W.size());
@@ -175,14 +30,6 @@ void hashWeights(HashStream &H, const std::vector<int> &W) {
 }
 
 } // namespace
-
-void slin::hashWorkFunction(HashStream &H, const WorkFunction &W) {
-  H.mix(TagWork);
-  H.mixInt(W.PeekRate);
-  H.mixInt(W.PopRate);
-  H.mixInt(W.PushRate);
-  hashStmts(H, W.Body);
-}
 
 void slin::hashStream(HashStream &H, const Stream &S) {
   switch (S.kind()) {
@@ -207,14 +54,14 @@ void slin::hashStream(HashStream &H, const Stream &S) {
       }
       return;
     }
-    hashFields(H, F->fields());
-    hashWorkFunction(H, F->work());
-    if (const WorkFunction *IW = F->initWork()) {
-      H.mix(TagInitWork);
-      hashWorkFunction(H, *IW);
-    } else {
-      H.mix(0);
-    }
+    // The artifact store's encoding of the filter, name left out: the
+    // hash covers exactly what a stored artifact would reproduce.
+    serial::Writer W;
+    wir::writeFilterBody(W, F->fields(), F->work(), F->initWork());
+    HashDigest D = serial::hashBytes(W.bytes().data(), W.size());
+    H.mix(TagIRContent);
+    H.mix(D.Lo);
+    H.mix(D.Hi);
     return;
   }
   case StreamKind::Pipeline: {

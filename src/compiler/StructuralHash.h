@@ -10,12 +10,18 @@
 /// rebuilt by a fresh `optimize()` call hash-conses onto artifacts
 /// compiled for an earlier, structurally equal configuration.
 ///
-/// Names are deliberately excluded: they carry no execution semantics
-/// (the replacers generate fresh "<name>_linear"-style labels on every
-/// run, which must not defeat caching). Native filters participate via
-/// NativeFilter::hashContent; a native filter without a content hash
-/// makes the enclosing subtree hash by object identity — unique, so the
-/// caches stay correct and merely miss.
+/// An IR filter hashes as the bytes wir/IRSerialize.h writes for its
+/// fields, work and init work — the artifact store's own encoding — so
+/// any IR change the store would persist also changes the key. The
+/// containers are walked here, mixing their kinds, weights and children.
+///
+/// Stream names are deliberately excluded: they carry no execution
+/// semantics (the replacers generate fresh "<name>_linear"-style labels
+/// on every run, which must not defeat caching). Variable and field
+/// names inside the IR are part of its encoding and do count. Native
+/// filters participate via NativeFilter::hashContent; a native filter
+/// without a content hash makes the enclosing subtree hash by object
+/// identity — unique, so the caches stay correct and merely miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +40,6 @@ HashDigest structuralHash(const Stream &S);
 
 /// Mixes \p S's structure into an ongoing hash (for composite keys).
 void hashStream(HashStream &H, const Stream &S);
-
-/// Mixes a work function (rates + IR body) into \p H.
-void hashWorkFunction(HashStream &H, const wir::WorkFunction &W);
 
 /// Digest of a linear node's full content (rates, A, b) — the key under
 /// which combination results are hash-consed.

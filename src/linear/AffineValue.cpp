@@ -1,12 +1,11 @@
-//===- verify/AffineDomain.cpp - Affine abstract value domain -------------===//
+//===- linear/AffineValue.cpp - Affine abstract values ---------------------===//
 
-#include "verify/AffineDomain.h"
+#include "linear/AffineValue.h"
 
 #include <cmath>
 #include <cstdio>
 
 using namespace slin;
-using namespace slin::verify;
 
 bool AffineValue::dependsOnState() const {
   for (const auto &KV : State)
@@ -79,7 +78,7 @@ AffineValue::str(const std::vector<std::string> *FieldNames) const {
   return S;
 }
 
-AffineValue verify::affAdd(const AffineValue &L, const AffineValue &R,
+AffineValue slin::affAdd(const AffineValue &L, const AffineValue &R,
                            double Sign) {
   if (!L.isVal() || !R.isVal())
     return AffineValue::top();
@@ -92,7 +91,7 @@ AffineValue verify::affAdd(const AffineValue &L, const AffineValue &R,
   return V;
 }
 
-AffineValue verify::affScale(const AffineValue &V, double C) {
+AffineValue slin::affScale(const AffineValue &V, double C) {
   if (!V.isVal())
     return AffineValue::top();
   AffineValue R = V;
@@ -104,7 +103,7 @@ AffineValue verify::affScale(const AffineValue &V, double C) {
   return R;
 }
 
-AffineValue verify::affMul(const AffineValue &L, const AffineValue &R) {
+AffineValue slin::affMul(const AffineValue &L, const AffineValue &R) {
   if (!L.isVal() || !R.isVal())
     return AffineValue::top();
   if (L.isConst())
@@ -114,7 +113,7 @@ AffineValue verify::affMul(const AffineValue &L, const AffineValue &R) {
   return AffineValue::top();
 }
 
-AffineValue verify::affDiv(const AffineValue &L, const AffineValue &R) {
+AffineValue slin::affDiv(const AffineValue &L, const AffineValue &R) {
   if (!L.isVal() || !R.isVal())
     return AffineValue::top();
   if (R.isConst() && R.Const != 0.0)
@@ -122,7 +121,7 @@ AffineValue verify::affDiv(const AffineValue &L, const AffineValue &R) {
   return AffineValue::top();
 }
 
-AffineValue verify::affNeg(const AffineValue &V) {
+AffineValue slin::affNeg(const AffineValue &V) {
   if (!V.isVal())
     return AffineValue::top();
   AffineValue R = V;
@@ -134,7 +133,7 @@ AffineValue verify::affNeg(const AffineValue &V) {
   return R;
 }
 
-AffineValue verify::affModOp(const AffineValue &L, const AffineValue &R) {
+AffineValue slin::affModOp(const AffineValue &L, const AffineValue &R) {
   if (!L.isVal() || !R.isVal())
     return AffineValue::top();
   if (L.isConst() && R.isConst())
@@ -146,41 +145,4 @@ AffineValue verify::affModOp(const AffineValue &L, const AffineValue &R) {
     return V;
   }
   return AffineValue::top();
-}
-
-AffineValue verify::affCompare(wir::Op K, const AffineValue &L,
-                               const AffineValue &R) {
-  auto Fold = [&](bool B) {
-    return AffineValue::constant(B ? 1.0 : 0.0, L.In.size());
-  };
-  switch (K) {
-  case wir::Op::Bool:
-    if (L.isConst())
-      return Fold(L.Const != 0.0);
-    return AffineValue::top();
-  case wir::Op::Not:
-    if (L.isConst())
-      return Fold(L.Const == 0.0);
-    return AffineValue::top();
-  default:
-    break;
-  }
-  if (!L.isConst() || !R.isConst())
-    return AffineValue::top();
-  switch (K) {
-  case wir::Op::Lt:
-    return Fold(L.Const < R.Const);
-  case wir::Op::Le:
-    return Fold(L.Const <= R.Const);
-  case wir::Op::Gt:
-    return Fold(L.Const > R.Const);
-  case wir::Op::Ge:
-    return Fold(L.Const >= R.Const);
-  case wir::Op::Eq:
-    return Fold(L.Const == R.Const);
-  case wir::Op::Ne:
-    return Fold(L.Const != R.Const);
-  default:
-    return AffineValue::top();
-  }
 }

@@ -1,8 +1,8 @@
-//===- verify/AffineDomain.h - Affine abstract value domain -----*- C++ -*-===//
+//===- linear/AffineValue.h - Affine abstract values -------------*- C++ -*-===//
 ///
 /// \file
-/// The value domain of the abstract-interpretation linter (src/verify/):
-/// every tape register, field element and pushed value is tracked as an
+/// The value domain of linear extraction (paper Section 3.2) and of the
+/// abstract-interpretation linter (src/verify/): a value is tracked as an
 /// affine combination of the current firing's input window, the filter's
 /// symbolic initial state, and a constant:
 ///
@@ -12,27 +12,28 @@
 /// image of an affine value under fmod(·, Mod), the shape that
 /// OpProgram::analyzeSteadyState's modular-cursor claims take.
 ///
-/// The arithmetic transfer functions mirror linear/Extract.cpp's LinForm
-/// operations *operation for operation*: the same operand orders, the
-/// same `V.Coeffs[i] += Sign * R.Coeffs[i]` accumulation for add/sub,
-/// the same const-side preference for multiply, and the same
-/// scale-by-reciprocal division. A value both analyses call affine
-/// therefore carries bit-identical coefficients — the property the
-/// verify-linear oracle's exact `[A, b]` cross-check rests on.
+/// Both analyses compute with the operators below and nothing else, so
+/// a value both call affine carries bit-identical coefficients — the
+/// property the verify-linear oracle's exact `[A, b]` cross-check rests
+/// on. The two traversals stay separate (Extract walks the tree IR, the
+/// linter the op tape); only the arithmetic is shared. Extract never
+/// creates state symbols (mutable state reads are Top there) and treats
+/// a ModVal exactly like Top; unassigned (⊥) slots belong to its
+/// variable store, not to this domain.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SLIN_VERIFY_AFFINEDOMAIN_H
-#define SLIN_VERIFY_AFFINEDOMAIN_H
+#ifndef SLIN_LINEAR_AFFINEVALUE_H
+#define SLIN_LINEAR_AFFINEVALUE_H
 
 #include "matrix/Matrix.h"
-#include "wir/OpTape.h"
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <vector>
 
 namespace slin {
-namespace verify {
 
 /// Symbol naming one element of a filter's initial (pre-firing) mutable
 /// state: field index in the high half, element index in the low half.
@@ -57,8 +58,7 @@ public:
 
   Kind K = Kind::Val;
   /// Dense input-window coefficients, always sized to the filter's peek
-  /// window E = max(peek, pop) — dense so elementwise arithmetic visits
-  /// exactly the entries Extract's Vector arithmetic visits.
+  /// window E = max(peek, pop).
   Vector In;
   /// Sparse initial-state coefficients (mutable field elements only).
   std::map<StateSym, double> State;
@@ -76,7 +76,7 @@ public:
     V.Const = C;
     return V;
   }
-  /// peek(\p Pos): unit coefficient, exactly Extract's buildCoeff.
+  /// peek(\p Pos): a unit coefficient (Algorithm 1's BuildCoeff).
   static AffineValue input(size_t Pos, size_t E) {
     AffineValue V;
     V.In = Vector(E);
@@ -98,8 +98,7 @@ public:
   /// treated as absent, so scaling by 0 does not change the answer.)
   bool dependsOnState() const;
 
-  /// Constant in Extract's sense: a Val with no nonzero input or state
-  /// coefficient.
+  /// A Val with no nonzero input or state coefficient.
   bool isConst() const {
     return isVal() && In.countNonZero() == 0 && !dependsOnState();
   }
@@ -108,8 +107,8 @@ public:
   bool isInputAffine() const { return isVal() && !dependsOnState(); }
 
   /// Exact structural equality (double ==, zero state entries ignored):
-  /// the join the path-forking executor uses, matching Extract's
-  /// exact-equality confluence.
+  /// the confluence ⊔ of both analyses keeps a value only where every
+  /// joined path agrees on it this way, and is Top otherwise.
   bool sameValue(const AffineValue &O) const;
 
   /// Human-readable rendering for findings ("0.5*peek(3) + state(h[0]) +
@@ -117,34 +116,32 @@ public:
   std::string str(const std::vector<std::string> *FieldNames = nullptr) const;
 };
 
-/// L + Sign*R, Extract's Add/Sub: start from L, accumulate Sign*R.
+/// L + Sign*R (Sign = ±1 for add/sub): start from L, accumulate Sign*R
+/// elementwise.
 AffineValue affAdd(const AffineValue &L, const AffineValue &R, double Sign);
 
-/// V scaled by the constant C — Extract's scale (every coefficient and
-/// the constant multiplied, in place, in index order).
+/// V scaled by the constant C: every coefficient and the constant
+/// multiplied, in index order.
 AffineValue affScale(const AffineValue &V, double C);
 
-/// Extract's multiply: constant side scales the other (L-const checked
-/// first); both non-constant is Top.
+/// L * R: the constant side scales the other (L checked first); both
+/// non-constant is Top.
 AffineValue affMul(const AffineValue &L, const AffineValue &R);
 
-/// Extract's divide: constant nonzero divisor scales L by 1.0/C
-/// (reciprocal-then-multiply, NOT elementwise division).
+/// L / R: a constant nonzero divisor scales L by 1.0/C
+/// (reciprocal-then-multiply, NOT elementwise division). Any other
+/// divisor is Top — even over a constant-zero dividend, since the
+/// runtime divisor might be singular (footnote in Section 3.2).
 AffineValue affDiv(const AffineValue &L, const AffineValue &R);
 
-/// Extract's Neg: elementwise negation (not 0 - x).
+/// -V: elementwise negation (not 0 - x).
 AffineValue affNeg(const AffineValue &V);
 
-/// fmod: both-constant folds exactly as Extract does; an affine L with a
+/// fmod(L, R): two constants fold with std::fmod; an affine L with a
 /// positive constant modulus becomes ModVal (the analyzeSteadyState
 /// cursor shape); anything else is Top.
 AffineValue affModOp(const AffineValue &L, const AffineValue &R);
 
-/// Comparison / logical ops (Lt..Ne, Bool, Not): constant-foldable only,
-/// with the tape's exact 1.0/0.0 semantics.
-AffineValue affCompare(wir::Op K, const AffineValue &L, const AffineValue &R);
-
-} // namespace verify
 } // namespace slin
 
-#endif // SLIN_VERIFY_AFFINEDOMAIN_H
+#endif // SLIN_LINEAR_AFFINEVALUE_H

@@ -2,6 +2,7 @@
 
 #include "linear/Extract.h"
 
+#include "linear/AffineValue.h"
 #include "support/Diag.h"
 #include "wir/Interp.h"
 
@@ -12,40 +13,17 @@ using namespace slin::wir;
 
 namespace {
 
-/// A lattice value: ⊥ (unassigned), a linear form ⟨coeffs, const⟩, or ⊤.
-struct LinForm {
-  enum KindTy { Bot, Val, Top } Kind = Bot;
-  Vector Coeffs; ///< Val only; indexed naturally: Coeffs[p] * peek(p)
-  double Const = 0.0;
+/// A variable-store slot: ⊥ (unassigned, nullopt) or an affine value.
+using Slot = std::optional<AffineValue>;
 
-  static LinForm bottom() { return LinForm(); }
-  static LinForm top() {
-    LinForm F;
-    F.Kind = Top;
-    return F;
-  }
-  static LinForm constant(double C, size_t Peek) {
-    LinForm F;
-    F.Kind = Val;
-    F.Coeffs = Vector(Peek);
-    F.Const = C;
-    return F;
-  }
-
-  bool isVal() const { return Kind == Val; }
-  bool isConst() const { return Kind == Val && Coeffs.countNonZero() == 0; }
-};
-
-LinForm join(const LinForm &A, const LinForm &B) {
-  if (A.Kind == LinForm::Bot)
+Slot join(const Slot &A, const Slot &B) {
+  if (!A)
     return B;
-  if (B.Kind == LinForm::Bot)
+  if (!B)
     return A;
-  if (A.Kind == LinForm::Top || B.Kind == LinForm::Top)
-    return LinForm::top();
-  if (A.Const == B.Const && A.Coeffs == B.Coeffs)
+  if (A->sameValue(*B))
     return A;
-  return LinForm::top();
+  return AffineValue::top();
 }
 
 /// popcount/pushcount live in the lattice constant-int domain.
@@ -96,8 +74,7 @@ public:
       resolve(Work, F.fields());
 
     State S;
-    S.Scalars.assign(static_cast<size_t>(Work.NumScalarSlots),
-                     LinForm::bottom());
+    S.Scalars.assign(static_cast<size_t>(Work.NumScalarSlots), Slot());
     S.Arrays.assign(static_cast<size_t>(Work.NumArraySlots), {});
     S.A.assign(static_cast<size_t>(Peek) * Push, Cell());
     S.BVec.assign(static_cast<size_t>(Push), Cell());
@@ -132,8 +109,8 @@ public:
 
 private:
   struct State {
-    std::vector<LinForm> Scalars;
-    std::vector<std::vector<LinForm>> Arrays;
+    std::vector<Slot> Scalars;
+    std::vector<std::vector<Slot>> Arrays;
     std::vector<Cell> A;    ///< Peek x Push, row-major, paper orientation
     std::vector<Cell> BVec; ///< Push entries, paper orientation
     LatticeInt PopCount;
@@ -148,97 +125,96 @@ private:
   }
 
   /// BuildCoeff (Algorithm 1): unit coefficient for peek(Pos), expressed
-  /// naturally (Coeffs[p] multiplies peek(p)); the paper-orientation
-  /// reversal happens when columns are stored.
-  LinForm buildCoeff(int Pos) {
-    LinForm V;
-    V.Kind = LinForm::Val;
-    V.Coeffs = Vector(static_cast<size_t>(Peek));
-    V.Coeffs[static_cast<size_t>(Pos)] = 1.0;
-    return V;
+  /// naturally (In[p] multiplies peek(p)); the paper-orientation reversal
+  /// happens when columns are stored.
+  AffineValue buildCoeff(int Pos) const {
+    return AffineValue::input(static_cast<size_t>(Pos),
+                              static_cast<size_t>(Peek));
   }
 
-  LinForm evalExpr(const Expr &E, State &S) {
+  AffineValue constant(double C) const {
+    return AffineValue::constant(C, static_cast<size_t>(Peek));
+  }
+
+  AffineValue evalExpr(const Expr &E, State &S) {
     if (Failed)
-      return LinForm::top();
+      return AffineValue::top();
     switch (E.kind()) {
     case ExprKind::Const:
-      return LinForm::constant(wir::cast<ConstExpr>(&E)->Value,
-                               static_cast<size_t>(Peek));
+      return constant(wir::cast<ConstExpr>(&E)->Value);
     case ExprKind::VarRef: {
       const auto *V = wir::cast<VarRefExpr>(&E);
-      const LinForm &F = S.Scalars[static_cast<size_t>(V->Slot)];
-      if (F.Kind == LinForm::Bot) {
+      const Slot &F = S.Scalars[static_cast<size_t>(V->Slot)];
+      if (!F) {
         fail("read of unassigned variable '" + V->Name + "'");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      return F;
+      return *F;
     }
     case ExprKind::ArrayRef: {
       const auto *A = wir::cast<ArrayRefExpr>(&E);
-      LinForm Idx = evalExpr(*A->Index, S);
+      AffineValue Idx = evalExpr(*A->Index, S);
       if (!Idx.isConst()) {
         fail("array index not a compile-time constant");
-        return LinForm::top();
+        return AffineValue::top();
       }
       auto &Arr = S.Arrays[static_cast<size_t>(A->Slot)];
       int I = static_cast<int>(std::lround(Idx.Const));
       if (I < 0 || static_cast<size_t>(I) >= Arr.size()) {
         fail("array read out of range");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      if (Arr[static_cast<size_t>(I)].Kind == LinForm::Bot) {
+      if (!Arr[static_cast<size_t>(I)]) {
         fail("read of unassigned array element");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      return Arr[static_cast<size_t>(I)];
+      return *Arr[static_cast<size_t>(I)];
     }
     case ExprKind::FieldRef: {
       const auto *FR = wir::cast<FieldRefExpr>(&E);
       const FieldDef &FD = F.fields()[static_cast<size_t>(FR->FieldIndex)];
       // Persistent (mutable) state: any access is ⊤ (Section 3.2).
       if (FD.IsMutable)
-        return LinForm::top();
+        return AffineValue::top();
       if (!FR->Index)
-        return LinForm::constant(FD.Init[0], static_cast<size_t>(Peek));
-      LinForm Idx = evalExpr(*FR->Index, S);
+        return constant(FD.Init[0]);
+      AffineValue Idx = evalExpr(*FR->Index, S);
       if (!Idx.isConst())
-        return LinForm::top();
+        return AffineValue::top();
       int I = static_cast<int>(std::lround(Idx.Const));
       if (I < 0 || static_cast<size_t>(I) >= FD.Init.size()) {
         fail("const field read out of range");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      return LinForm::constant(FD.Init[static_cast<size_t>(I)],
-                               static_cast<size_t>(Peek));
+      return constant(FD.Init[static_cast<size_t>(I)]);
     }
     case ExprKind::Peek: {
-      LinForm Idx = evalExpr(*wir::cast<PeekExpr>(&E)->Index, S);
+      AffineValue Idx = evalExpr(*wir::cast<PeekExpr>(&E)->Index, S);
       if (!Idx.isConst()) {
         fail("peek index not a compile-time constant");
-        return LinForm::top();
+        return AffineValue::top();
       }
       if (S.PopCount.Kind == LatticeInt::Top) {
         fail("peek with unresolved pop count");
-        return LinForm::top();
+        return AffineValue::top();
       }
       int Pos = S.PopCount.Value + static_cast<int>(std::lround(Idx.Const));
       if (Pos < 0 || Pos >= Peek) {
         fail("peek beyond declared peek rate");
-        return LinForm::top();
+        return AffineValue::top();
       }
       return buildCoeff(Pos);
     }
     case ExprKind::Pop: {
       if (S.PopCount.Kind == LatticeInt::Top) {
         fail("pop with unresolved pop count");
-        return LinForm::top();
+        return AffineValue::top();
       }
       if (S.PopCount.Value >= Peek) {
         fail("pop beyond declared rates");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      LinForm V = buildCoeff(S.PopCount.Value);
+      AffineValue V = buildCoeff(S.PopCount.Value);
       ++S.PopCount.Value;
       return V;
     }
@@ -246,99 +222,88 @@ private:
       return evalBinary(*wir::cast<BinaryExpr>(&E), S);
     case ExprKind::Unary: {
       const auto *U = wir::cast<UnaryExpr>(&E);
-      LinForm V = evalExpr(*U->Operand, S);
-      if (U->Op == UnOp::Neg) {
-        if (!V.isVal())
-          return V.Kind == LinForm::Top ? LinForm::top() : V;
-        for (size_t I = 0; I != V.Coeffs.size(); ++I)
-          V.Coeffs[I] = -V.Coeffs[I];
-        V.Const = -V.Const;
-        return V;
-      }
+      AffineValue V = evalExpr(*U->Operand, S);
+      if (U->Op == UnOp::Neg)
+        return affNeg(V);
       // Logical not: constant-foldable only.
       if (V.isConst())
-        return LinForm::constant(V.Const == 0.0 ? 1.0 : 0.0,
-                                 static_cast<size_t>(Peek));
-      return LinForm::top();
+        return constant(V.Const == 0.0 ? 1.0 : 0.0);
+      return AffineValue::top();
     }
     case ExprKind::Call: {
       const auto *C = wir::cast<CallExpr>(&E);
-      LinForm V = evalExpr(*C->Arg, S);
+      AffineValue V = evalExpr(*C->Arg, S);
       if (V.isConst())
-        return LinForm::constant(evalIntrinsic(C->Fn, V.Const),
-                                 static_cast<size_t>(Peek));
-      return LinForm::top();
+        return constant(evalIntrinsic(C->Fn, V.Const));
+      return AffineValue::top();
     }
     }
     unreachable("unknown expr kind");
   }
 
-  LinForm evalBinary(const BinaryExpr &B, State &S) {
-    LinForm L = evalExpr(*B.LHS, S);
-    LinForm R = evalExpr(*B.RHS, S);
+  AffineValue evalBinary(const BinaryExpr &B, State &S) {
+    if (B.Op == BinOp::LAnd || B.Op == BinOp::LOr)
+      return evalShortCircuit(B, S);
+    AffineValue L = evalExpr(*B.LHS, S);
+    AffineValue R = evalExpr(*B.RHS, S);
     if (Failed)
-      return LinForm::top();
+      return AffineValue::top();
     switch (B.Op) {
     case BinOp::Add:
-    case BinOp::Sub: {
-      if (!L.isVal() || !R.isVal())
-        return LinForm::top();
-      LinForm V = L;
-      double Sign = B.Op == BinOp::Add ? 1.0 : -1.0;
-      for (size_t I = 0; I != V.Coeffs.size(); ++I)
-        V.Coeffs[I] += Sign * R.Coeffs[I];
-      V.Const += Sign * R.Const;
-      return V;
-    }
-    case BinOp::Mul: {
-      if (!L.isVal() || !R.isVal())
-        return LinForm::top();
-      if (L.isConst())
-        return scale(R, L.Const);
-      if (R.isConst())
-        return scale(L, R.Const);
-      return LinForm::top();
-    }
-    case BinOp::Div: {
-      // Linear only when the divisor is a non-zero constant; a zero
-      // constant dividend over a non-constant divisor is NOT zero (the
-      // runtime divisor might be singular — footnote in Section 3.2).
-      if (L.isVal() && R.isConst() && R.Const != 0.0)
-        return scale(L, 1.0 / R.Const);
-      return LinForm::top();
-    }
-    default: {
-      // Nonlinear ops (mod, comparisons, logicals): constants fold.
+      return affAdd(L, R, 1.0);
+    case BinOp::Sub:
+      return affAdd(L, R, -1.0);
+    case BinOp::Mul:
+      return affMul(L, R);
+    case BinOp::Div:
+      return affDiv(L, R);
+    case BinOp::Mod:
+      // A ModVal result is not Val, so every check treats it as ⊤.
+      return affModOp(L, R);
+    default:
+      // Comparisons: constants fold.
       if (L.isConst() && R.isConst())
-        return LinForm::constant(foldNonLinear(B.Op, L.Const, R.Const),
-                                 static_cast<size_t>(Peek));
-      return LinForm::top();
-    }
+        return constant(foldCompare(B.Op, L.Const, R.Const));
+      return AffineValue::top();
     }
   }
 
-  static double foldNonLinear(BinOp Op, double L, double R) {
+  /// && and ||: the right operand runs only when the left one does not
+  /// decide the result, as in the interpreter and the op tape. When the
+  /// left one is data-dependent, the right one runs on a forked state
+  /// joined with the untaken one, as an If would (a pop there makes the
+  /// pop count ⊤).
+  AffineValue evalShortCircuit(const BinaryExpr &B, State &S) {
+    AffineValue L = evalExpr(*B.LHS, S);
+    if (Failed)
+      return AffineValue::top();
+    bool IsAnd = B.Op == BinOp::LAnd;
+    if (L.isConst()) {
+      if ((L.Const != 0.0) != IsAnd)
+        return constant(IsAnd ? 0.0 : 1.0);
+      AffineValue R = evalExpr(*B.RHS, S);
+      if (R.isConst())
+        return constant(R.Const != 0.0 ? 1.0 : 0.0);
+      return AffineValue::top();
+    }
+    State Taken = S;
+    (void)evalExpr(*B.RHS, Taken);
+    if (!Failed)
+      S = joinStates(Taken, S);
+    return AffineValue::top();
+  }
+
+  static double foldCompare(BinOp Op, double L, double R) {
     switch (Op) {
-    case BinOp::Mod:  return std::fmod(L, R);
     case BinOp::Lt:   return L < R ? 1.0 : 0.0;
     case BinOp::Le:   return L <= R ? 1.0 : 0.0;
     case BinOp::Gt:   return L > R ? 1.0 : 0.0;
     case BinOp::Ge:   return L >= R ? 1.0 : 0.0;
     case BinOp::Eq:   return L == R ? 1.0 : 0.0;
     case BinOp::Ne:   return L != R ? 1.0 : 0.0;
-    case BinOp::LAnd: return L != 0.0 && R != 0.0 ? 1.0 : 0.0;
-    case BinOp::LOr:  return L != 0.0 || R != 0.0 ? 1.0 : 0.0;
     default:
-      unreachable("not a foldable nonlinear op");
+      unreachable("not a comparison");
     }
-  }
-
-  static LinForm scale(const LinForm &V, double C) {
-    LinForm R = V;
-    for (size_t I = 0; I != R.Coeffs.size(); ++I)
-      R.Coeffs[I] *= C;
-    R.Const *= C;
-    return R;
   }
 
   void execBody(const StmtList &Body, State &S) {
@@ -353,15 +318,15 @@ private:
     switch (St.kind()) {
     case StmtKind::Assign: {
       const auto *A = wir::cast<AssignStmt>(&St);
-      LinForm V = evalExpr(*A->Value, S);
+      AffineValue V = evalExpr(*A->Value, S);
       if (!Failed)
         S.Scalars[static_cast<size_t>(A->Slot)] = V;
       return;
     }
     case StmtKind::ArrayAssign: {
       const auto *A = wir::cast<ArrayAssignStmt>(&St);
-      LinForm Idx = evalExpr(*A->Index, S);
-      LinForm V = evalExpr(*A->Value, S);
+      AffineValue Idx = evalExpr(*A->Index, S);
+      AffineValue V = evalExpr(*A->Value, S);
       if (Failed)
         return;
       if (!Idx.isConst()) {
@@ -390,14 +355,14 @@ private:
     case StmtKind::LocalArray: {
       const auto *L = wir::cast<LocalArrayStmt>(&St);
       S.Arrays[static_cast<size_t>(L->Slot)].assign(
-          static_cast<size_t>(L->Size), LinForm::bottom());
+          static_cast<size_t>(L->Size), Slot());
       return;
     }
     case StmtKind::Push: {
-      LinForm V = evalExpr(*wir::cast<PushStmt>(&St)->Value, S);
+      AffineValue V = evalExpr(*wir::cast<PushStmt>(&St)->Value, S);
       if (Failed)
         return;
-      if (V.Kind != LinForm::Val) {
+      if (!V.isVal()) {
         fail("pushed value is not an affine function of the input");
         return;
       }
@@ -410,12 +375,12 @@ private:
         return;
       }
       // Column Push-1-pushcount of A gets the coefficient vector with the
-      // paper-orientation row reversal: A[e-1-p, col] = Coeffs[p].
+      // paper-orientation row reversal: A[e-1-p, col] = In[p].
       int Col = Push - 1 - S.PushCount.Value;
       for (int P = 0; P != Peek; ++P) {
         Cell &C = S.A[static_cast<size_t>(Peek - 1 - P) * Push + Col];
         assert(C.Kind == Cell::Bot && "column written twice");
-        C = {Cell::Val, V.Coeffs[static_cast<size_t>(P)]};
+        C = {Cell::Val, V.In[static_cast<size_t>(P)]};
       }
       Cell &BC = S.BVec[static_cast<size_t>(Col)];
       assert(BC.Kind == Cell::Bot && "offset written twice");
@@ -433,8 +398,8 @@ private:
     }
     case StmtKind::For: {
       const auto *F2 = wir::cast<ForStmt>(&St);
-      LinForm Begin = evalExpr(*F2->Begin, S);
-      LinForm End = evalExpr(*F2->End, S);
+      AffineValue Begin = evalExpr(*F2->Begin, S);
+      AffineValue End = evalExpr(*F2->End, S);
       if (Failed)
         return;
       if (!Begin.isConst() || !End.isConst()) {
@@ -448,15 +413,14 @@ private:
         return;
       }
       for (int I = B; I < E && !Failed; ++I) {
-        S.Scalars[static_cast<size_t>(F2->Slot)] =
-            LinForm::constant(I, static_cast<size_t>(Peek));
+        S.Scalars[static_cast<size_t>(F2->Slot)] = constant(I);
         execBody(F2->Body, S);
       }
       return;
     }
     case StmtKind::If: {
       const auto *I = wir::cast<IfStmt>(&St);
-      LinForm Cond = evalExpr(*I->Cond, S);
+      AffineValue Cond = evalExpr(*I->Cond, S);
       if (Failed)
         return;
       // Constant condition: execute only the taken arm.
@@ -494,7 +458,7 @@ private:
     for (size_t I = 0; I != A.Arrays.size(); ++I) {
       if (A.Arrays[I].size() != B.Arrays[I].size()) {
         R.Arrays[I].assign(std::max(A.Arrays[I].size(), B.Arrays[I].size()),
-                           LinForm::top());
+                           Slot(AffineValue::top()));
         continue;
       }
       R.Arrays[I].resize(A.Arrays[I].size());

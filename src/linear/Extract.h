@@ -6,16 +6,19 @@
 /// filter's work function, mapping each program variable to a linear form
 /// ⟨v⃗, c⟩ (value = x⃗·v⃗ + c over the input items) in a lattice with ⊥ and
 /// ⊤, and filling in the A matrix and b vector column by column as pushes
-/// are encountered. Loops are fully unrolled (bounds must resolve to
-/// constants); both branch arms are executed and joined with the
-/// confluence operator ⊔.
+/// are encountered. The forms and their arithmetic are the shared affine
+/// domain of linear/AffineValue.h; ⊥ (an unassigned slot) lives in the
+/// analysis's variable store. Loops are fully unrolled (bounds must
+/// resolve to constants); both branch arms are executed and joined with
+/// the confluence operator ⊔.
 ///
 /// Practical extensions faithful to the real StreamIt implementation:
 ///  * const filter fields (initialized at construction, never written by
 ///    work) fold to constants — every Appendix-A FIR reads its h[] so;
 ///  * local arrays with constant indices are tracked element-wise;
 ///  * a branch whose condition resolves to a constant executes only the
-///    taken arm;
+///    taken arm; `&&`/`||` skip their right operand when the left one
+///    decides the result, and otherwise treat it as a branch arm;
 ///  * any access to mutable (persistent) state yields ⊤, as do intrinsic
 ///    calls and nonlinear operators on non-constant operands, print
 ///    statements, and unresolvable peek indices or loop bounds.

@@ -61,23 +61,6 @@ public:
     std::memcpy(&Bits, &D, sizeof(Bits));
     mix(Bits);
   }
-  void mixString(const std::string &S) {
-    mix(S.size());
-    uint64_t Word = 0;
-    int Shift = 0;
-    for (unsigned char C : S) {
-      Word |= static_cast<uint64_t>(C) << Shift;
-      Shift += 8;
-      if (Shift == 64) {
-        mix(Word);
-        Word = 0;
-        Shift = 0;
-      }
-    }
-    if (Shift)
-      mix(Word);
-  }
-
   HashDigest digest() const {
     // Final avalanche, folding the element count in so prefixes differ.
     return {stir(A ^ Count, 0xc2b2ae3d27d4eb4fULL),

@@ -35,6 +35,44 @@ bool constIndex(const AffineValue &V, bool IntIdx, long &Out) {
   return true;
 }
 
+/// Comparison / logical ops (Lt..Ne, Bool, Not): constant-foldable only,
+/// with the tape's exact 1.0/0.0 semantics.
+AffineValue affCompare(Op K, const AffineValue &L, const AffineValue &R) {
+  auto Fold = [&](bool B) {
+    return AffineValue::constant(B ? 1.0 : 0.0, L.In.size());
+  };
+  switch (K) {
+  case Op::Bool:
+    if (L.isConst())
+      return Fold(L.Const != 0.0);
+    return AffineValue::top();
+  case Op::Not:
+    if (L.isConst())
+      return Fold(L.Const == 0.0);
+    return AffineValue::top();
+  default:
+    break;
+  }
+  if (!L.isConst() || !R.isConst())
+    return AffineValue::top();
+  switch (K) {
+  case Op::Lt:
+    return Fold(L.Const < R.Const);
+  case Op::Le:
+    return Fold(L.Const <= R.Const);
+  case Op::Gt:
+    return Fold(L.Const > R.Const);
+  case Op::Ge:
+    return Fold(L.Const >= R.Const);
+  case Op::Eq:
+    return Fold(L.Const == R.Const);
+  case Op::Ne:
+    return Fold(L.Const != R.Const);
+  default:
+    return AffineValue::top();
+  }
+}
+
 } // namespace
 
 bool verify::checkWellFormed(const wir::OpProgram &P,

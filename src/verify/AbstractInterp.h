@@ -2,14 +2,16 @@
 ///
 /// \file
 /// Abstract interpretation of one work-function firing over the affine
-/// domain (verify/AffineDomain.h): the op tape is executed exactly as
-/// wir::OpProgram::runImpl executes it — same register frame, same field
-/// and local-array addressing, same loop back-edges — but every value is
-/// an AffineValue instead of a double. Loop counters and index registers
-/// stay concrete (they are constants in the domain), so loops unroll to
-/// their real trip counts; a branch on a data-dependent condition forks
-/// the path and both continuations run to Halt, with the observable
-/// results joined by exact equality (Extract's confluence).
+/// domain linear extraction also computes in (linear/AffineValue.h) —
+/// the same operators, so the two agree bit for bit. The op tape is
+/// executed exactly as wir::OpProgram::runImpl executes it — same
+/// register frame, same field and local-array addressing, same loop
+/// back-edges — but every value is an AffineValue instead of a double.
+/// Loop counters and index registers stay concrete (they are constants
+/// in the domain), so loops unroll to their real trip counts; a branch
+/// on a data-dependent condition forks the path and both continuations
+/// run to Halt, with the observable results joined by exact equality
+/// (Extract's confluence).
 ///
 /// The executor produces everything the three lint analyses consume:
 /// the affine form of each pushed value (verify-linear), every statically
@@ -22,7 +24,7 @@
 #ifndef SLIN_VERIFY_ABSTRACTINTERP_H
 #define SLIN_VERIFY_ABSTRACTINTERP_H
 
-#include "verify/AffineDomain.h"
+#include "linear/AffineValue.h"
 #include "wir/IR.h"
 #include "wir/OpTape.h"
 

@@ -95,6 +95,86 @@ TEST(StructuralHash, GeneratedNativeFiltersHashByContent) {
   EXPECT_NE(structuralHash(*F1), structuralHash(*F3));
 }
 
+/// The knobs of one small IR filter inside a one-child pipeline; each
+/// hash-coverage row below changes exactly one of them.
+struct IRSpec {
+  double Const = 2.0;
+  std::string Var = "t";
+  int LocalSize = 4;
+  bool FieldMutable = false;
+  bool FieldArray = false;
+  double FieldInit = 0.5;
+  bool HasInitWork = false;
+  int Peek = 3, Pop = 1, Push = 1;
+  int LoopBegin = 0, LoopEnd = 2;
+  bool SwapIfArms = false;
+  bool Uncounted = false;
+  std::string FilterName = "f";
+  std::string PipelineName = "p";
+};
+
+StreamPtr buildIR(const IRSpec &S) {
+  StmtList Then = stmts(push(vr(S.Var)));
+  StmtList Else = stmts(push(neg(vr(S.Var))));
+  if (S.SwapIfArms)
+    std::swap(Then, Else);
+  StmtPtr Tail = popStmt();
+  if (S.Uncounted)
+    Tail = uncounted(stmts(std::move(Tail)));
+  wir::WorkFunction W(
+      S.Peek, S.Pop, S.Push,
+      stmts(localArray("a", S.LocalSize), arrAssign("a", cst(0), peek(0)),
+            assign(S.Var, mul(cst(S.Const), arrAt("a", cst(0)))),
+            loop("i", cst(S.LoopBegin), cst(S.LoopEnd),
+                 stmts(assign(S.Var, add(vr(S.Var), mul(fldAt("h", vr("i")),
+                                                        peek(vr("i"))))))),
+            ifStmt(gt(vr(S.Var), fld("g")), std::move(Then), std::move(Else)),
+            std::move(Tail)));
+  std::vector<wir::FieldDef> Fields = {
+      wir::FieldDef::constArray("h", {1, 2, 3}),
+      {"g", S.FieldArray, S.FieldMutable, {S.FieldInit}}};
+  auto F = std::make_unique<Filter>(S.FilterName, std::move(Fields),
+                                    std::move(W));
+  if (S.HasInitWork)
+    F->setInitWork(wir::WorkFunction(1, 1, 0, stmts(popStmt())));
+  auto P = std::make_unique<Pipeline>(S.PipelineName);
+  P->add(std::move(F));
+  return P;
+}
+
+TEST(StructuralHash, EveryIREditChangesTheHashAndNoRenameDoes) {
+  struct Row {
+    const char *What;
+    void (*Edit)(IRSpec &);
+    bool Changes;
+  };
+  const Row Rows[] = {
+      {"ConstExpr value", [](IRSpec &S) { S.Const = 3.0; }, true},
+      {"variable name", [](IRSpec &S) { S.Var = "u"; }, true},
+      {"local-array size", [](IRSpec &S) { S.LocalSize = 5; }, true},
+      {"field IsMutable", [](IRSpec &S) { S.FieldMutable = true; }, true},
+      {"field IsArray", [](IRSpec &S) { S.FieldArray = true; }, true},
+      {"field Init", [](IRSpec &S) { S.FieldInit = 0.25; }, true},
+      {"init work added", [](IRSpec &S) { S.HasInitWork = true; }, true},
+      {"peek rate", [](IRSpec &S) { S.Peek = 4; }, true},
+      {"pop rate", [](IRSpec &S) { S.Pop = 2; }, true},
+      {"push rate", [](IRSpec &S) { S.Push = 2; }, true},
+      {"For begin", [](IRSpec &S) { S.LoopBegin = 1; }, true},
+      {"For end", [](IRSpec &S) { S.LoopEnd = 3; }, true},
+      {"If arms swapped", [](IRSpec &S) { S.SwapIfArms = true; }, true},
+      {"Uncounted wrapper", [](IRSpec &S) { S.Uncounted = true; }, true},
+      {"filter renamed", [](IRSpec &S) { S.FilterName = "g"; }, false},
+      {"container renamed", [](IRSpec &S) { S.PipelineName = "q"; }, false},
+  };
+  const HashDigest Base = structuralHash(*buildIR(IRSpec()));
+  for (const Row &R : Rows) {
+    IRSpec S;
+    R.Edit(S);
+    HashDigest H = structuralHash(*buildIR(S));
+    EXPECT_EQ(H != Base, R.Changes) << R.What;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // AnalysisManager
 //===----------------------------------------------------------------------===//

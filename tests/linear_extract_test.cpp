@@ -122,11 +122,17 @@ TEST(Extract, PrintIsNonlinear) {
 }
 
 TEST(Extract, InputProductIsNonlinear) {
-  // FMDemodulator-style peek(0)*peek(1).
-  WorkFunction W(2, 1, 1, stmts(push(mul(peek(0), peek(1))), popStmt()));
-  ExtractionResult R = extractLinearNode(*makeFilter(std::move(W)));
-  EXPECT_FALSE(R.isLinear());
-  EXPECT_NE(R.FailureReason.find("not an affine"), std::string::npos);
+  // FMDemodulator-style peek(0)*peek(1); and peek(0) % 4, a modular value
+  // in the shared affine domain, which extraction must treat as ⊤.
+  std::vector<WorkFunction> Works;
+  Works.emplace_back(2, 1, 1, stmts(push(mul(peek(0), peek(1))), popStmt()));
+  Works.emplace_back(1, 1, 1, stmts(push(mod(peek(0), cst(4))), popStmt()));
+  for (WorkFunction &W : Works) {
+    ExtractionResult R = extractLinearNode(*makeFilter(std::move(W)));
+    EXPECT_FALSE(R.isLinear());
+    EXPECT_EQ(R.FailureReason,
+              "pushed value is not an affine function of the input");
+  }
 }
 
 TEST(Extract, DivisionByInputIsNonlinear) {

@@ -20,6 +20,7 @@
 #include "support/Serialize.h"
 #include "verify/AbstractInterp.h"
 #include "verify/Lint.h"
+#include "wir/Build.h"
 
 #include <gtest/gtest.h>
 
@@ -109,7 +110,8 @@ public:
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Clean suite: every benchmark lints with zero findings
+// Clean suite: every benchmark lints with zero findings, and the program
+// AutoSel selects for it with zero errors
 //===----------------------------------------------------------------------===//
 
 TEST(LintCleanSuite, AllBenchmarksHaveZeroFindings) {
@@ -122,6 +124,15 @@ TEST(LintCleanSuite, AllBenchmarksHaveZeroFindings) {
     EXPECT_TRUE(R.findings().empty())
         << B.Name << " is not lint-clean:\n"
         << R.text();
+    // The program AutoSel selects is what runs; it must lint clean too.
+    PipelineOptions PO;
+    PO.Mode = OptMode::AutoSel;
+    PO.Exec.Eng = Engine::Compiled;
+    PO.UseProgramCache = false;
+    CompileResult Sel = CompilerPipeline(PO).tryCompile(*Root).orDie();
+    LintReport RS = lintProgram(*Sel.Program);
+    EXPECT_EQ(RS.errorCount(), 0u) << B.Name << " under AutoSel:\n"
+                                   << RS.text();
     // The linearity oracle must actually have had work to do.
     const flat::FlatGraph &G = P.graph();
     for (const flat::Node &N : G.Nodes)
@@ -138,6 +149,29 @@ TEST(LintCleanSuite, AllBenchmarksHaveZeroFindings) {
 // verify-linear: exact re-derivation of [A, b] from the tape
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The shared affine arithmetic on a synthetic filter: negation,
+/// constant*affine on both sides, division by a constant, a folded
+/// comparison and +/- chains, over inexact coefficients.
+std::unique_ptr<Filter> arithmeticFilter() {
+  using namespace wir::build;
+  wir::WorkFunction W(
+      4, 1, 2,
+      stmts(push(sub(add(sub(add(neg(peek(0)), mul(cst(0.1), peek(1))),
+                             mul(peek(2), cst(0.7))),
+                         div(peek(3), cst(3))),
+                     lt(cst(2), cst(3)))),
+            push(add(sub(mul(cst(-1.5), add(sub(peek(1), peek(0)), peek(2))),
+                         div(neg(peek(3)), cst(0.3))),
+                     cst(7))),
+            popStmt()));
+  return std::make_unique<Filter>("Arith", std::vector<wir::FieldDef>{},
+                                  std::move(W));
+}
+
+} // namespace
+
 TEST(VerifyLinear, TapeRederivesExtractionExactly) {
   StreamPtr Root = buildByName("FIR");
   ASSERT_NE(Root, nullptr);
@@ -145,30 +179,73 @@ TEST(VerifyLinear, TapeRederivesExtractionExactly) {
   int I = findFilter(P, "LowPass");
   ASSERT_GE(I, 0);
   const flat::Node &N = P.graph().Nodes[static_cast<size_t>(I)];
-  const wir::OpProgram &Tape =
-      P.filterArtifact(static_cast<size_t>(I)).Work;
+  std::unique_ptr<Filter> Arith = arithmeticFilter();
 
-  ExtractionResult Ext = extractLinearNode(*N.F);
-  ASSERT_TRUE(Ext.isLinear()) << Ext.FailureReason;
-  const LinearNode &LN = *Ext.Node;
+  struct Input {
+    const Filter &F;
+    wir::OpProgram Tape;
+  };
+  const Input Inputs[] = {
+      {*N.F, P.filterArtifact(static_cast<size_t>(I)).Work},
+      {*Arith, wir::OpProgram::compile(Arith->work(), Arith->fields())},
+  };
+  for (const Input &In : Inputs) {
+    SCOPED_TRACE(In.F.name());
+    ExtractionResult Ext = extractLinearNode(In.F);
+    ASSERT_TRUE(Ext.isLinear()) << Ext.FailureReason;
+    const LinearNode &LN = *Ext.Node;
 
-  TapeSummary Sum = abstractExecute(Tape, N.F->fields());
-  ASSERT_TRUE(Sum.Completed);
-  ASSERT_FALSE(Sum.faulted()) << Sum.Faults.front().Msg;
-  ASSERT_EQ(static_cast<int>(Sum.Pushes.size()), LN.pushRate());
-  for (int J = 0; J != LN.pushRate(); ++J) {
-    const AffineValue &V = Sum.Pushes[static_cast<size_t>(J)];
-    ASSERT_TRUE(V.isInputAffine());
-    for (int Pk = 0; Pk != LN.peekRate(); ++Pk)
-      EXPECT_EQ(V.In[static_cast<size_t>(Pk)], LN.coeff(Pk, J))
-          << "peek " << Pk << ", push " << J;
-    EXPECT_EQ(V.Const, LN.offset(J)) << "push " << J;
+    TapeSummary Sum = abstractExecute(In.Tape, In.F.fields());
+    ASSERT_TRUE(Sum.Completed);
+    ASSERT_FALSE(Sum.faulted()) << Sum.Faults.front().Msg;
+    ASSERT_EQ(static_cast<int>(Sum.Pushes.size()), LN.pushRate());
+    for (int J = 0; J != LN.pushRate(); ++J) {
+      const AffineValue &V = Sum.Pushes[static_cast<size_t>(J)];
+      ASSERT_TRUE(V.isInputAffine());
+      for (int Pk = 0; Pk != LN.peekRate(); ++Pk)
+        EXPECT_EQ(V.In[static_cast<size_t>(Pk)], LN.coeff(Pk, J))
+            << "peek " << Pk << ", push " << J;
+      EXPECT_EQ(V.Const, LN.offset(J)) << "push " << J;
+    }
+
+    // And the packaged cross-check agrees with itself: zero disagreements.
+    LintReport R;
+    lintTapeLinear(In.Tape, In.F, In.F.name(), R);
+    EXPECT_EQ(R.errorCount(), 0u) << R.text();
   }
+}
 
-  // And the packaged cross-check agrees with itself: zero disagreements.
-  LintReport R;
-  lintTapeLinear(Tape, *N.F, N.Name, R);
-  EXPECT_EQ(R.errorCount(), 0u) << R.text();
+TEST(VerifyLinear, ShortCircuitSkipsTheRightOperand) {
+  using namespace wir::build;
+  // t = peek(1) && pop(): the pop runs on only some inputs, so the pop
+  // count is unknown and extraction must decline.
+  Filter DataDependent(
+      "DataDependent", {},
+      wir::WorkFunction(2, 1, 1,
+                        stmts(assign("t", bin(wir::BinOp::LAnd, peek(1),
+                                              pop())),
+                              push(peek(0)))));
+  // t = 0 && pop(): the pop never runs; y = peek(0).
+  Filter NeverRuns(
+      "NeverRuns", {},
+      wir::WorkFunction(1, 1, 1,
+                        stmts(assign("t", bin(wir::BinOp::LAnd, cst(0),
+                                              pop())),
+                              push(peek(0)), popStmt())));
+
+  EXPECT_FALSE(extractLinearNode(DataDependent).isLinear());
+  ExtractionResult Ext = extractLinearNode(NeverRuns);
+  ASSERT_TRUE(Ext.isLinear()) << Ext.FailureReason;
+  EXPECT_EQ(Ext.Node->peekRate(), 1);
+  EXPECT_EQ(Ext.Node->coeff(0, 0), 1.0);
+  EXPECT_EQ(Ext.Node->offset(0), 0.0);
+
+  for (const Filter *F : {&DataDependent, &NeverRuns}) {
+    LintReport R;
+    lintTapeLinear(wir::OpProgram::compile(F->work(), F->fields()), *F,
+                   F->name(), R);
+    EXPECT_TRUE(R.findings().empty()) << F->name() << ":\n" << R.text();
+  }
 }
 
 //===----------------------------------------------------------------------===//
