@@ -4,6 +4,7 @@
 
 #include "compiler/ArtifactStore.h"
 #include "compiler/StructuralHash.h"
+#include "linear/AbstractExec.h"
 #include "support/StatsRegistry.h"
 
 #include <chrono>
@@ -103,13 +104,13 @@ void CompiledProgram::computeShardInfo() {
     }
 
     const FilterArtifact &A = Artifacts[I];
-    wir::SteadyStateInfo Steady = A.Work.analyzeSteadyState(N.F->fields());
+    SteadyStateInfo Steady = classifySteadyState(A.Work, N.F->fields());
     if (!Steady.Reconstructable)
       return Fail("filter '" + N.Name + "': " + Steady.Reason);
-    wir::SteadyStateInfo Init;
+    SteadyStateInfo Init;
     bool HasInit = !A.InitWork.empty();
     if (HasInit) {
-      Init = A.InitWork.analyzeSteadyState(N.F->fields());
+      Init = classifySteadyState(A.InitWork, N.F->fields());
       if (!Init.Reconstructable)
         return Fail("filter '" + N.Name + "' (init work): " + Init.Reason);
     }
@@ -118,12 +119,12 @@ void CompiledProgram::computeShardInfo() {
     // the filter depth-1 (one replayed firing rewrites them). A field
     // whose init-work update cannot be folded into the closed form (or
     // that only the init work writes, non-affinely) is irrecoverable.
-    using FK = wir::SteadyStateInfo::FieldKind;
+    using FK = SteadyStateInfo::FieldKind;
     const std::vector<wir::FieldDef> &Fields = N.F->fields();
     for (size_t F = 0; F != Fields.size(); ++F) {
-      const wir::SteadyStateInfo::FieldUpdate *SU =
+      const SteadyStateInfo::FieldUpdate *SU =
           Steady.updateFor(static_cast<int>(F));
-      const wir::SteadyStateInfo::FieldUpdate *IU =
+      const SteadyStateInfo::FieldUpdate *IU =
           HasInit ? Init.updateFor(static_cast<int>(F)) : nullptr;
       if (!SU && !IU)
         continue;

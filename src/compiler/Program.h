@@ -11,7 +11,9 @@
 ///  * the static schedule: init/steady/batch firing programs and exact
 ///    channel capacities (sched/Schedule.h);
 ///  * one compiled op tape per IR work function (wir/OpTape.h) and a
-///    prototype per native filter.
+///    prototype per native filter;
+///  * the shard-boundary recipe (ShardInfo) the parallel backend seeds
+///    its workers from, derived from the tapes' abstract execution.
 ///
 /// CompiledProgram is the "compile once, serve many runs" unit: op tapes
 /// execute with per-instance frames and field stores, native prototypes
@@ -60,8 +62,10 @@ public:
   /// Whether (and how) the parallel backend may split a run of this
   /// program into independently-executed shards of steady iterations
   /// (exec/Parallel.h). Computed once at compile time from the op tapes'
-  /// state classification (wir::SteadyStateInfo), the native filters'
-  /// stateDepthFirings() and the schedule's washout depth.
+  /// state classes (classifySteadyState, linear/AbstractExec.h), the
+  /// native filters' stateDepthFirings() and the schedule's washout
+  /// depth; verify-state (verify/Lint.h) audits it by running a seeded
+  /// shard against a sequential run.
   struct ShardInfo {
     bool Shardable = false;
     std::string Reason; ///< why not, when !Shardable

@@ -1,12 +1,11 @@
-//===- verify/AbstractInterp.cpp - Abstract op-tape executor --------------===//
+//===- linear/AbstractExec.cpp - Abstract op-tape executor ----------------===//
 
-#include "verify/AbstractInterp.h"
+#include "linear/AbstractExec.h"
 
 #include <algorithm>
 #include <cmath>
 
 using namespace slin;
-using namespace slin::verify;
 using wir::Inst;
 using wir::Op;
 
@@ -22,6 +21,9 @@ struct Path {
   int Pops = 0;
   std::vector<AffineValue> Pushes;
   bool Printed = false;
+  /// Top carrying the fields that every data-dependent branch condition
+  /// this path followed depended on.
+  AffineValue Guard = AffineValue::top();
 };
 
 bool regOk(const wir::OpProgram &P, int32_t R) {
@@ -45,16 +47,16 @@ AffineValue affCompare(Op K, const AffineValue &L, const AffineValue &R) {
   case Op::Bool:
     if (L.isConst())
       return Fold(L.Const != 0.0);
-    return AffineValue::top();
+    return AffineValue::topOf(L);
   case Op::Not:
     if (L.isConst())
       return Fold(L.Const == 0.0);
-    return AffineValue::top();
+    return AffineValue::topOf(L);
   default:
     break;
   }
   if (!L.isConst() || !R.isConst())
-    return AffineValue::top();
+    return AffineValue::topOf(L, R);
   switch (K) {
   case Op::Lt:
     return Fold(L.Const < R.Const);
@@ -75,9 +77,9 @@ AffineValue affCompare(Op K, const AffineValue &L, const AffineValue &R) {
 
 } // namespace
 
-bool verify::checkWellFormed(const wir::OpProgram &P,
-                             const std::vector<wir::FieldDef> &Fields,
-                             std::vector<TapeFault> &Faults) {
+bool slin::checkWellFormed(const wir::OpProgram &P,
+                           const std::vector<wir::FieldDef> &Fields,
+                           std::vector<TapeFault> &Faults) {
   size_t Before = Faults.size();
   auto Fault = [&](int Pc, std::string Msg) {
     Faults.push_back({Pc, std::move(Msg)});
@@ -100,14 +102,32 @@ bool verify::checkWellFormed(const wir::OpProgram &P,
                     " overflows the array store");
   const std::vector<Inst> &Code = P.code();
   long N = static_cast<long>(Code.size());
+  // Registers and local arrays written so far in tape order: a read of
+  // anything else would see the previous firing's frame.
+  std::vector<bool> Written(static_cast<size_t>(std::max(P.numRegs(), 0)));
+  std::vector<bool> Zeroed(static_cast<size_t>(P.arrayCount()));
   for (long Pc = 0; Pc != N; ++Pc) {
     const Inst &I = Code[static_cast<size_t>(Pc)];
     auto Reg = [&](int32_t R, const char *Which) {
-      if (!regOk(P, R))
+      if (regOk(P, R))
+        return true;
+      Fault(static_cast<int>(Pc), std::string("register operand ") + Which +
+                                      " out of range (" + std::to_string(R) +
+                                      " of " + std::to_string(P.numRegs()) +
+                                      ")");
+      return false;
+    };
+    auto Use = [&](int32_t R, const char *Which) {
+      if (Reg(R, Which) && !Written[static_cast<size_t>(R)])
         Fault(static_cast<int>(Pc), std::string("register operand ") + Which +
-                                        " out of range (" +
-                                        std::to_string(R) + " of " +
-                                        std::to_string(P.numRegs()) + ")");
+                                        " (r" + std::to_string(R) +
+                                        ") is read before any write in the "
+                                        "firing");
+    };
+    int32_t Defined = -1; // marked written after the reads
+    auto Def = [&](int32_t R) {
+      if (Reg(R, "A"))
+        Defined = R;
     };
     auto FieldSlot = [&](int32_t F) {
       if (F < 0 || static_cast<size_t>(F) >= Fields.size()) {
@@ -119,10 +139,12 @@ bool verify::checkWellFormed(const wir::OpProgram &P,
       return true;
     };
     auto ArrSlot = [&](int32_t A) {
-      if (A < 0 || A >= P.arrayCount())
-        Fault(static_cast<int>(Pc),
-              "array slot out of range (" + std::to_string(A) + " of " +
-                  std::to_string(P.arrayCount()) + ")");
+      if (A >= 0 && A < P.arrayCount())
+        return true;
+      Fault(static_cast<int>(Pc),
+            "array slot out of range (" + std::to_string(A) + " of " +
+                std::to_string(P.arrayCount()) + ")");
+      return false;
     };
     auto Target = [&](int32_t T) {
       if (T < 0 || T >= N)
@@ -132,7 +154,9 @@ bool verify::checkWellFormed(const wir::OpProgram &P,
     };
     switch (I.K) {
     case Op::Const:
-      Reg(I.A, "A");
+    case Op::PeekImm:
+    case Op::Pop:
+      Def(I.A);
       break;
     case Op::Copy:
     case Op::Bool:
@@ -140,44 +164,57 @@ bool verify::checkWellFormed(const wir::OpProgram &P,
     case Op::Round:
     case Op::Neg:
     case Op::AddImm:
-      Reg(I.A, "A");
-      Reg(I.B, "B");
+      Use(I.B, "B");
+      Def(I.A);
       break;
     case Op::Peek:
-      Reg(I.A, "A");
-      Reg(I.C, "C");
+      Use(I.C, "C");
+      Def(I.A);
       break;
-    case Op::PeekImm:
-    case Op::Pop:
     case Op::Push:
     case Op::Print:
-      Reg(I.A, "A");
+      Use(I.A, "A");
       break;
     case Op::PopDiscard:
     case Op::Halt:
       break;
     case Op::LoadFld:
     case Op::StoreFld:
-      Reg(I.A, "A");
+      if (I.K == Op::StoreFld)
+        Use(I.A, "A");
+      else
+        Def(I.A);
       if (FieldSlot(I.B) && Fields[static_cast<size_t>(I.B)].Init.empty())
         Fault(static_cast<int>(Pc), "scalar access to an empty field '" +
                                         Fields[static_cast<size_t>(I.B)].Name +
                                         "'");
       break;
     case Op::LoadFldIdx:
+      Use(I.C, "C");
+      Def(I.A);
+      FieldSlot(I.B);
+      break;
     case Op::StoreFldIdx:
-      Reg(I.A, "A");
-      Reg(I.C, "C");
+      Use(I.A, "A");
+      Use(I.C, "C");
       FieldSlot(I.B);
       break;
     case Op::LoadArr:
+      Use(I.C, "C");
+      Def(I.A);
+      if (ArrSlot(I.B) && !Zeroed[static_cast<size_t>(I.B)])
+        Fault(static_cast<int>(Pc),
+              "local array '" + P.arrayName(I.B) +
+                  "' is read before its declaration zero-fill");
+      break;
     case Op::StoreArr:
-      Reg(I.A, "A");
-      Reg(I.C, "C");
+      Use(I.A, "A");
+      Use(I.C, "C");
       ArrSlot(I.B);
       break;
     case Op::ZeroArr:
-      ArrSlot(I.A);
+      if (ArrSlot(I.A))
+        Zeroed[static_cast<size_t>(I.A)] = true;
       break;
     case Op::Add:
     case Op::Sub:
@@ -190,51 +227,53 @@ bool verify::checkWellFormed(const wir::OpProgram &P,
     case Op::Ge:
     case Op::Eq:
     case Op::Ne:
-      Reg(I.A, "A");
-      Reg(I.B, "B");
-      Reg(I.C, "C");
+      Use(I.B, "B");
+      Use(I.C, "C");
+      Def(I.A);
       break;
     case Op::Intrin:
-      Reg(I.A, "A");
-      Reg(I.C, "C");
+      Use(I.C, "C");
+      Def(I.A);
       if (I.B < 0 || I.B > static_cast<int32_t>(wir::Intrinsic::Round))
         Fault(static_cast<int>(Pc),
               "unknown intrinsic id " + std::to_string(I.B));
       break;
     case Op::MulAdd:
-      Reg(I.A, "A");
-      Reg(I.B, "B");
-      Reg(I.C, "C");
-      Reg(I.D, "D");
+      Use(I.B, "B");
+      Use(I.C, "C");
+      Use(I.D, "D");
+      Def(I.A);
       break;
     case Op::MacFldPeek:
-      Reg(I.A, "A");
-      Reg(I.C, "C");
+      Use(I.A, "A");
+      Use(I.C, "C");
       FieldSlot(I.B);
       break;
     case Op::Jump:
       Target(I.A);
       break;
     case Op::JumpIfZero:
-      Reg(I.A, "A");
+      Use(I.A, "A");
       Target(I.B);
       break;
     case Op::JumpIfGe:
-      Reg(I.A, "A");
-      Reg(I.B, "B");
+      Use(I.A, "A");
+      Use(I.B, "B");
       Target(I.C);
       break;
     case Op::IncJump:
-      Reg(I.A, "A");
+      Use(I.A, "A");
       Target(I.B);
       break;
     }
+    if (Defined != -1)
+      Written[static_cast<size_t>(Defined)] = true;
   }
   return Faults.size() == Before;
 }
 
-TapeSummary verify::abstractExecute(const wir::OpProgram &P,
-                                    const std::vector<wir::FieldDef> &Fields) {
+TapeSummary slin::abstractExecute(const wir::OpProgram &P,
+                                  const std::vector<wir::FieldDef> &Fields) {
   TapeSummary S;
   if (!checkWellFormed(P, Fields, S.Faults))
     return S;
@@ -335,7 +374,7 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         long Idx;
         if (!constIndex(Rd(I.C), I.IntIdx, Idx)) {
           Fault(Pc, "peek index is not statically constant");
-          Wr(I.A, AffineValue::top());
+          Wr(I.A, AffineValue::topOf(Rd(I.C)));
         } else {
           Wr(I.A, ReadInput(Idx, "peek"));
         }
@@ -380,8 +419,11 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         if (!constIndex(Rd(I.C), I.IntIdx, Idx)) {
           // State-dependent index (e.g. a cursor field). The dispatch
           // bounds-checks this op at runtime, so "unproven" is safe —
-          // no finding, value unknown.
-          Wr(I.A, AffineValue::top());
+          // no finding, value unknown: any element may be the one read.
+          AffineValue V = AffineValue::topOf(Rd(I.C));
+          for (const AffineValue &E : Elems)
+            V.absorbDeps(E);
+          Wr(I.A, std::move(V));
         } else if (Idx < 0 || Idx >= static_cast<long>(Elems.size())) {
           Fault(Pc, "field '" + Fields[static_cast<size_t>(I.B)].Name +
                         "' index " + std::to_string(Idx) +
@@ -402,8 +444,10 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         if (!constIndex(Rd(I.C), I.IntIdx, Idx)) {
           // Runtime-checked store with an unknown index: any element may
           // be overwritten. No finding; the whole field is unknown.
-          for (AffineValue &V : Elems)
-            V = AffineValue::top();
+          for (AffineValue &V : Elems) {
+            V = AffineValue::topOf(V, Rd(I.A));
+            V.absorbDeps(Rd(I.C));
+          }
         } else if (Idx < 0 || Idx >= static_cast<long>(Elems.size())) {
           Fault(Pc, "field '" + Fields[static_cast<size_t>(I.B)].Name +
                         "' index " + std::to_string(Idx) +
@@ -421,12 +465,16 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         long Sz = Pt.ASz[static_cast<size_t>(Slot)];
         if (!constIndex(Rd(I.C), I.IntIdx, Idx)) {
           // Runtime-checked, like the field-index ops: unproven, silent.
+          AffineValue *Elems = Pt.Arr.data() + P.arrayBase(Slot);
+          AffineValue V = AffineValue::topOf(Rd(I.C));
+          if (I.K == Op::StoreArr)
+            V.absorbDeps(Rd(I.A));
+          for (long J = 0; J != Sz; ++J)
+            V.absorbDeps(Elems[J]);
           if (I.K == Op::LoadArr)
-            Wr(I.A, AffineValue::top());
+            Wr(I.A, std::move(V));
           else
-            for (long J = 0; J != Sz; ++J)
-              Pt.Arr[static_cast<size_t>(P.arrayBase(Slot) + J)] =
-                  AffineValue::top();
+            std::fill(Elems, Elems + Sz, V);
         } else if (Idx < 0 || Idx >= Sz) {
           Fault(Pc, "array '" + P.arrayName(Slot) + "' index " +
                         std::to_string(Idx) + " out of range [0, " +
@@ -482,7 +530,7 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         Wr(I.A, V.isConst()
                     ? AffineValue::constant(
                           static_cast<double>(std::lround(V.Const)), E)
-                    : AffineValue::top());
+                    : AffineValue::topOf(V));
         break;
       }
       case Op::Neg:
@@ -495,7 +543,7 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
                           wir::evalIntrinsic(
                               static_cast<wir::Intrinsic>(I.B), V.Const),
                           E)
-                    : AffineValue::top());
+                    : AffineValue::topOf(V));
         break;
       }
       case Op::MulAdd:
@@ -506,7 +554,7 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         auto &Elems = Pt.Fld[static_cast<size_t>(I.B)];
         if (!constIndex(Rd(I.C), I.IntIdx, Idx)) {
           Fault(Pc, "mac index is not statically constant");
-          Wr(I.A, AffineValue::top());
+          Wr(I.A, AffineValue::topOf(Rd(I.A), Rd(I.C)));
           break;
         }
         if (Idx < 0 || Idx >= static_cast<long>(Elems.size())) {
@@ -543,6 +591,7 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
             Live = false;
             break;
           }
+          Pt.Guard.absorbDeps(C);
           Path Taken = Pt;
           Taken.PC = static_cast<size_t>(I.B);
           Work.push_back(std::move(Taken));
@@ -565,6 +614,8 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
             Live = false;
             break;
           }
+          Pt.Guard.absorbDeps(L);
+          Pt.Guard.absorbDeps(R);
           Path Taken = Pt;
           Taken.PC = static_cast<size_t>(I.C);
           Work.push_back(std::move(Taken));
@@ -605,14 +656,21 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
 
   // Join observable results across completed paths with exact equality
   // (Extract's confluence): any disagreement is data-dependent behaviour.
+  // A joined Top depends on what every path's value depended on, and on
+  // the branch conditions that split the paths.
   const Path &Base = Done.front();
   S.Pops = Base.Pops;
   S.PushCount = static_cast<int>(Base.Pushes.size());
   S.Pushes = Base.Pushes;
   S.FieldFinal = Base.Fld;
   S.HasPrint = S.HasPrint || Base.Printed;
-  for (size_t D = 1; D < Done.size(); ++D) {
-    const Path &Pt = Done[D];
+  AffineValue Guards = AffineValue::top();
+  auto Join = [](AffineValue &Acc, const AffineValue &V) {
+    if (!Acc.sameValue(V) || Acc.isTop())
+      Acc = AffineValue::topOf(Acc, V);
+  };
+  for (const Path &Pt : Done) {
+    Guards.absorbDeps(Pt.Guard);
     S.HasPrint = S.HasPrint || Pt.Printed;
     if (Pt.Pops != Base.Pops ||
         Pt.Pushes.size() != Base.Pushes.size()) {
@@ -621,12 +679,110 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
       continue;
     }
     for (size_t J = 0; J != S.Pushes.size(); ++J)
-      if (!S.Pushes[J].sameValue(Pt.Pushes[J]))
-        S.Pushes[J] = AffineValue::top();
+      Join(S.Pushes[J], Pt.Pushes[J]);
     for (size_t F = 0; F != S.FieldFinal.size(); ++F)
       for (size_t J = 0; J != S.FieldFinal[F].size(); ++J)
-        if (!S.FieldFinal[F][J].sameValue(Pt.Fld[F][J]))
-          S.FieldFinal[F][J] = AffineValue::top();
+        Join(S.FieldFinal[F][J], Pt.Fld[F][J]);
   }
+  for (std::vector<AffineValue> &Elems : S.FieldFinal)
+    for (AffineValue &V : Elems)
+      if (V.isTop())
+        V.absorbDeps(Guards);
   return S;
+}
+
+//===----------------------------------------------------------------------===//
+// Cross-firing state classification
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Exactly {state(Field, 0): 1.0} plus constants: the value of \p Field
+/// before the firing, moved by a fixed amount.
+bool ownSymbolOnly(const AffineValue &V, int Field) {
+  if (V.isTop() || V.In.countNonZero() != 0)
+    return false;
+  for (const auto &KV : V.State)
+    if (KV.second != (KV.first == stateSym(Field, 0) ? 1.0 : 0.0))
+      return false;
+  auto It = V.State.find(stateSym(Field, 0));
+  return It != V.State.end();
+}
+
+} // namespace
+
+SteadyStateInfo slin::classifySteadyState(
+    const wir::OpProgram &P, const std::vector<wir::FieldDef> &Fields) {
+  SteadyStateInfo Info;
+  auto Fail = [&](std::string Why) {
+    Info.Reconstructable = false;
+    Info.Reason = std::move(Why);
+    Info.Updates.clear();
+    return Info;
+  };
+
+  std::vector<TapeFault> Faults;
+  if (!checkWellFormed(P, Fields, Faults))
+    return Fail(Faults.front().Msg);
+  std::vector<bool> Stored(Fields.size(), false);
+  bool StoresAny = false;
+  for (const Inst &I : P.code()) {
+    // Ring buffers (delay lines, the redundancy rewrite's product
+    // caches) keep their elements across firings. Refused before
+    // execution: every path would copy every element's affine form.
+    if (I.K == Op::StoreFldIdx)
+      return Fail("indexed store to a mutable field array");
+    if (I.K == Op::StoreFld)
+      Stored[static_cast<size_t>(I.B)] = StoresAny = true;
+  }
+  if (!StoresAny) {
+    // Nothing crosses firings: the frame cannot (checkWellFormed) and no
+    // field is written. Skipping execution also keeps stateless tapes
+    // with argmax-style branching clear of the path budget.
+    Info.Reconstructable = true;
+    return Info;
+  }
+
+  TapeSummary S = abstractExecute(P, Fields);
+  if (S.faulted())
+    return Fail(S.Faults.front().Msg);
+  if (S.Exploded)
+    return Fail("abstract execution exhausted its budget");
+  if (!S.Completed)
+    return Fail("no execution path reaches Halt");
+
+  // Closed forms first: input-determined fields may read them, since
+  // workers seed them exactly.
+  using FieldKind = SteadyStateInfo::FieldKind;
+  std::vector<bool> ClosedForm(Fields.size(), false);
+  for (size_t F = 0; F != Fields.size(); ++F) {
+    const std::vector<AffineValue> &Final = S.FieldFinal[F];
+    if (!Stored[F] || Final.size() != 1 ||
+        !ownSymbolOnly(Final[0], static_cast<int>(F)))
+      continue;
+    const AffineValue &V = Final[0];
+    Info.Updates.push_back({static_cast<int>(F),
+                            V.isModVal() ? FieldKind::ModAffine
+                                         : FieldKind::Affine,
+                            V.Const, V.isModVal() ? V.Mod : 0.0});
+    ClosedForm[F] = true;
+  }
+
+  // Every other stored field must be rewritten from the current inputs,
+  // constants and state that is itself reconstructable.
+  uint64_t Rewritten = 0;
+  for (size_t F = 0; F != Fields.size(); ++F)
+    if (Stored[F] && !ClosedForm[F])
+      Rewritten |= AffineValue::fieldBit(static_cast<int>(F));
+  for (size_t F = 0; F != Fields.size(); ++F) {
+    if (!Stored[F] || ClosedForm[F])
+      continue;
+    for (const AffineValue &V : S.FieldFinal[F])
+      if (AffineValue::topOf(V).DepFields & Rewritten)
+        return Fail("field store depends on prior-firing state");
+    Info.Updates.push_back(
+        {static_cast<int>(F), FieldKind::InputDetermined, 0.0, 0.0});
+  }
+  Info.Reconstructable = true;
+  return Info;
 }

@@ -14,6 +14,13 @@ bool AffineValue::dependsOnState() const {
   return false;
 }
 
+void AffineValue::absorbDeps(const AffineValue &V) {
+  DepFields |= V.DepFields;
+  for (const auto &KV : V.State)
+    if (KV.second != 0.0)
+      DepFields |= fieldBit(symField(KV.first));
+}
+
 bool AffineValue::sameValue(const AffineValue &O) const {
   if (K != O.K)
     return false;
@@ -81,7 +88,7 @@ AffineValue::str(const std::vector<std::string> *FieldNames) const {
 AffineValue slin::affAdd(const AffineValue &L, const AffineValue &R,
                            double Sign) {
   if (!L.isVal() || !R.isVal())
-    return AffineValue::top();
+    return AffineValue::topOf(L, R);
   AffineValue V = L;
   for (size_t I = 0; I != V.In.size(); ++I)
     V.In[I] += Sign * R.In[I];
@@ -93,7 +100,7 @@ AffineValue slin::affAdd(const AffineValue &L, const AffineValue &R,
 
 AffineValue slin::affScale(const AffineValue &V, double C) {
   if (!V.isVal())
-    return AffineValue::top();
+    return AffineValue::topOf(V);
   AffineValue R = V;
   for (size_t I = 0; I != R.In.size(); ++I)
     R.In[I] *= C;
@@ -105,25 +112,25 @@ AffineValue slin::affScale(const AffineValue &V, double C) {
 
 AffineValue slin::affMul(const AffineValue &L, const AffineValue &R) {
   if (!L.isVal() || !R.isVal())
-    return AffineValue::top();
+    return AffineValue::topOf(L, R);
   if (L.isConst())
     return affScale(R, L.Const);
   if (R.isConst())
     return affScale(L, R.Const);
-  return AffineValue::top();
+  return AffineValue::topOf(L, R);
 }
 
 AffineValue slin::affDiv(const AffineValue &L, const AffineValue &R) {
   if (!L.isVal() || !R.isVal())
-    return AffineValue::top();
+    return AffineValue::topOf(L, R);
   if (R.isConst() && R.Const != 0.0)
     return affScale(L, 1.0 / R.Const);
-  return AffineValue::top();
+  return AffineValue::topOf(L, R);
 }
 
 AffineValue slin::affNeg(const AffineValue &V) {
   if (!V.isVal())
-    return AffineValue::top();
+    return AffineValue::topOf(V);
   AffineValue R = V;
   for (size_t I = 0; I != R.In.size(); ++I)
     R.In[I] = -R.In[I];
@@ -135,7 +142,7 @@ AffineValue slin::affNeg(const AffineValue &V) {
 
 AffineValue slin::affModOp(const AffineValue &L, const AffineValue &R) {
   if (!L.isVal() || !R.isVal())
-    return AffineValue::top();
+    return AffineValue::topOf(L, R);
   if (L.isConst() && R.isConst())
     return AffineValue::constant(std::fmod(L.Const, R.Const), L.In.size());
   if (R.isConst() && R.Const > 0.0) {
@@ -144,5 +151,5 @@ AffineValue slin::affModOp(const AffineValue &L, const AffineValue &R) {
     V.Mod = R.Const;
     return V;
   }
-  return AffineValue::top();
+  return AffineValue::topOf(L, R);
 }

@@ -2,21 +2,23 @@
 ///
 /// \file
 /// The value domain of linear extraction (paper Section 3.2) and of the
-/// abstract-interpretation linter (src/verify/): a value is tracked as an
-/// affine combination of the current firing's input window, the filter's
-/// symbolic initial state, and a constant:
+/// abstract tape executor (linear/AbstractExec.h): a value is tracked as
+/// an affine combination of the current firing's input window, the
+/// filter's symbolic initial state, and a constant:
 ///
 ///     v  =  Σᵢ In[i]·peek(i)  +  Σₛ State[s]·state(s)  +  Const
 ///
 /// with two extra points: Top (no affine form known) and ModVal — the
-/// image of an affine value under fmod(·, Mod), the shape that
-/// OpProgram::analyzeSteadyState's modular-cursor claims take.
+/// image of an affine value under fmod(·, Mod), the shape of a modular
+/// cursor in the shard-boundary state classifier. A Top still remembers
+/// which fields' state it was computed from, so the classifier can tell
+/// `abs(pop())` (no prior state) from a latch on its own old value.
 ///
-/// Both analyses compute with the operators below and nothing else, so
+/// Both traversals compute with the operators below and nothing else, so
 /// a value both call affine carries bit-identical coefficients — the
 /// property the verify-linear oracle's exact `[A, b]` cross-check rests
 /// on. The two traversals stay separate (Extract walks the tree IR, the
-/// linter the op tape); only the arithmetic is shared. Extract never
+/// executor the op tape); only the arithmetic is shared. Extract never
 /// creates state symbols (mutable state reads are Top there) and treats
 /// a ModVal exactly like Top; unassigned (⊥) slots belong to its
 /// variable store, not to this domain.
@@ -64,10 +66,30 @@ public:
   std::map<StateSym, double> State;
   double Const = 0.0;
   double Mod = 0.0; ///< ModVal only; > 0
+  /// Top only: bit F % 64 is set when the value may depend on the initial
+  /// state of field F. Fields 64 apart share a bit, which can only widen
+  /// the dependence; a fixed-size set keeps Top cheap to copy and join
+  /// even where an unknown index touches every element of a field array.
+  uint64_t DepFields = 0;
+  /// The DepFields bit standing for field \p Field.
+  static uint64_t fieldBit(int Field) {
+    return uint64_t(1) << (static_cast<unsigned>(Field) % 64);
+  }
 
   static AffineValue top() {
     AffineValue V;
     V.K = Kind::Top;
+    return V;
+  }
+  /// Top depending on every field \p A and \p B depend on.
+  static AffineValue topOf(const AffineValue &A) {
+    AffineValue V = top();
+    V.absorbDeps(A);
+    return V;
+  }
+  static AffineValue topOf(const AffineValue &A, const AffineValue &B) {
+    AffineValue V = topOf(A);
+    V.absorbDeps(B);
     return V;
   }
   static AffineValue constant(double C, size_t E) {
@@ -98,6 +120,9 @@ public:
   /// treated as absent, so scaling by 0 does not change the answer.)
   bool dependsOnState() const;
 
+  /// Adds the fields \p V depends on to this Top's dependence set.
+  void absorbDeps(const AffineValue &V);
+
   /// A Val with no nonzero input or state coefficient.
   bool isConst() const {
     return isVal() && In.countNonZero() == 0 && !dependsOnState();
@@ -125,7 +150,8 @@ AffineValue affAdd(const AffineValue &L, const AffineValue &R, double Sign);
 AffineValue affScale(const AffineValue &V, double C);
 
 /// L * R: the constant side scales the other (L checked first); both
-/// non-constant is Top.
+/// non-constant is Top. Every Top an operator returns depends on the
+/// fields of its operands.
 AffineValue affMul(const AffineValue &L, const AffineValue &R);
 
 /// L / R: a constant nonzero divisor scales L by 1.0/C
@@ -138,8 +164,8 @@ AffineValue affDiv(const AffineValue &L, const AffineValue &R);
 AffineValue affNeg(const AffineValue &V);
 
 /// fmod(L, R): two constants fold with std::fmod; an affine L with a
-/// positive constant modulus becomes ModVal (the analyzeSteadyState
-/// cursor shape); anything else is Top.
+/// positive constant modulus becomes ModVal (the modular-cursor shape);
+/// anything else is Top.
 AffineValue affModOp(const AffineValue &L, const AffineValue &R);
 
 } // namespace slin

@@ -2,12 +2,15 @@
 
 #include "verify/Lint.h"
 
+#include "exec/CompiledExecutor.h"
 #include "graph/Stream.h"
 #include "linear/Extract.h"
 #include "sched/Schedule.h"
+#include "support/OpCounters.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 
 using namespace slin;
@@ -360,140 +363,92 @@ std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
 }
 
 //===----------------------------------------------------------------------===//
-// verify-state: the state-classification audit
+// verify-state: the shard-recipe audit
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Exactly {state(Field, 0): 1.0} and nothing else?
-bool ownSymbolOnly(const AffineValue &V, int Field) {
-  for (const auto &KV : V.State) {
-    if (KV.second == 0.0)
-      continue;
-    if (KV.first != stateSym(Field, 0) || KV.second != 1.0)
-      return false;
+bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
+  return A.size() == B.size() &&
+         (A.empty() ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
+}
+
+/// What a run adds to the external output channel and the print log.
+struct Observed {
+  std::vector<double> Out, Printed;
+  bool operator==(const Observed &O) const {
+    return sameBits(Out, O.Out) && sameBits(Printed, O.Printed);
   }
-  auto It = V.State.find(stateSym(Field, 0));
-  return It != V.State.end() && It->second == 1.0;
+};
+
+/// Runs \p Iters more steady iterations of \p E, observing them.
+Status runObserved(CompiledExecutor &E, int64_t Iters, Observed &Obs) {
+  size_t Out = E.externalOutputCount(), Printed = E.printed().size();
+  if (Status St = E.tryRunIterations(Iters); !St.isOk())
+    return St;
+  std::vector<double> All = E.outputSnapshot();
+  Obs.Out.assign(All.begin() + static_cast<ptrdiff_t>(Out), All.end());
+  Obs.Printed.assign(E.printed().begin() + static_cast<ptrdiff_t>(Printed),
+                     E.printed().end());
+  return Status::ok();
+}
+
+/// Runs the shard recipe: a worker seeded at steady iteration K replays
+/// the washout, then must match a sequential run over the next few
+/// iterations bit for bit. Any K > 0 is a boundary the backend may seed;
+/// K = washout + 1 keeps the audit a fixed function of the program. Both
+/// sides read zeros from any external input. Returns "" on agreement.
+std::string replayShard(const CompiledProgram &P) {
+  const int64_t Washout = P.shardInfo().WashoutIterations;
+  const int64_t K = Washout + 1, Audited = 4;
+  const StaticSchedule &S = P.schedule();
+  auto Zeros = [&](int64_t Iters) {
+    return std::vector<double>(static_cast<size_t>(
+        S.InitExternalNeed + (Iters + 1) * S.SteadyExternalNeed +
+        S.BatchExternalNeed));
+  };
+  // Executors share the artifact without owning it.
+  CompiledProgramRef Ref(CompiledProgramRef(), &P);
+  ops::CountingScope Uncounted(false);
+
+  CompiledExecutor Seq(Ref);
+  Seq.provideInput(Zeros(K + Washout + Audited));
+  Observed SeqTail;
+  Status St = Seq.tryRunIterations(K + Washout);
+  if (St.isOk())
+    St = runObserved(Seq, Audited, SeqTail);
+  if (!St.isOk())
+    return "sequential run failed: " + St.str();
+
+  CompiledExecutor Shard(Ref);
+  Shard.provideInput(Zeros(Washout + Audited));
+  Observed ShardTail;
+  St = Shard.trySeedSteadyState(K);
+  if (St.isOk())
+    St = Shard.tryRunIterations(Washout);
+  if (St.isOk())
+    St = runObserved(Shard, Audited, ShardTail);
+  if (!St.isOk())
+    return "seeded run failed: " + St.str();
+
+  if (!(ShardTail == SeqTail))
+    return "a shard seeded at iteration " + std::to_string(K) +
+           " and washed out for " + std::to_string(Washout) +
+           " iterations diverges from the sequential run";
+  return "";
 }
 
 } // namespace
 
-void verify::lintStateClaims(const wir::OpProgram &Tape,
-                             const std::vector<wir::FieldDef> &Fields,
-                             const wir::SteadyStateInfo &Claims,
-                             const std::string &Where, LintReport &R) {
-  const char *Pass = "verify-state";
-  if (!Claims.Reconstructable)
-    return; // a negative claim is never trusted by anyone
-  TapeSummary Sum = abstractExecute(Tape, Fields);
-  if (!Sum.Completed || Sum.Exploded)
-    return; // unproven, not a violation — stay silent
-
-  // Which fields the tape stores at all, and which claims are closed-form
-  // (readable by input-determined fields without breaking reconstruction).
-  std::vector<bool> Stored(Fields.size(), false);
-  for (const wir::Inst &I : Tape.code())
-    if ((I.K == wir::Op::StoreFld || I.K == wir::Op::StoreFldIdx) &&
-        I.B >= 0 && static_cast<size_t>(I.B) < Fields.size())
-      Stored[static_cast<size_t>(I.B)] = true;
-  std::vector<bool> Closed(Fields.size(), false);
-  for (const wir::SteadyStateInfo::FieldUpdate &U : Claims.Updates)
-    if (U.Kind != wir::SteadyStateInfo::FieldKind::InputDetermined &&
-        U.Field >= 0 && static_cast<size_t>(U.Field) < Fields.size())
-      Closed[static_cast<size_t>(U.Field)] = true;
-  auto SymAllowed = [&](StateSym Sym) {
-    int F = symField(Sym);
-    if (F < 0 || static_cast<size_t>(F) >= Fields.size())
-      return false;
-    // Never-stored mutable fields hold their initial value forever;
-    // closed-form fields are exactly seedable. Either is reconstructable
-    // input to a rewritten field.
-    return !Stored[static_cast<size_t>(F)] || Closed[static_cast<size_t>(F)];
-  };
-
-  for (const wir::SteadyStateInfo::FieldUpdate &U : Claims.Updates) {
-    if (U.Field < 0 || static_cast<size_t>(U.Field) >= Fields.size() ||
-        static_cast<size_t>(U.Field) >= Sum.FieldFinal.size()) {
-      R.error(Pass, Where, -1,
-              "state claim names unknown field " + std::to_string(U.Field));
-      continue;
-    }
-    const std::vector<AffineValue> &Final =
-        Sum.FieldFinal[static_cast<size_t>(U.Field)];
-    const std::string &Name = Fields[static_cast<size_t>(U.Field)].Name;
-    if (Final.empty()) {
-      R.error(Pass, Where, -1, "state claim on empty field '" + Name + "'");
-      continue;
-    }
-    using FieldKind = wir::SteadyStateInfo::FieldKind;
-    switch (U.Kind) {
-    case FieldKind::Affine: {
-      const AffineValue &V = Final[0];
-      if (V.isTop()) {
-        R.note(Pass, Where, -1,
-               "cannot verify affine claim on '" + Name +
-                   "' (value diverged across paths)");
-        break;
-      }
-      bool Shape = V.isVal() && V.In.countNonZero() == 0 &&
-                   ownSymbolOnly(V, U.Field) && V.Const == U.Delta;
-      if (!Shape)
-        R.error(Pass, Where, -1,
-                "claimed '" + Name + "' = '" + Name + "' + " +
-                    std::to_string(U.Delta) + " per firing, tape computes " +
-                    V.str(&Tape.fieldNames()));
-      break;
-    }
-    case FieldKind::ModAffine: {
-      const AffineValue &V = Final[0];
-      if (V.isTop()) {
-        R.note(Pass, Where, -1,
-               "cannot verify modular claim on '" + Name +
-                   "' (value diverged across paths)");
-        break;
-      }
-      bool Shape = V.isModVal() && V.Mod == U.Mod &&
-                   V.In.countNonZero() == 0 && ownSymbolOnly(V, U.Field) &&
-                   V.Const == U.Delta;
-      if (!Shape)
-        R.error(Pass, Where, -1,
-                "claimed '" + Name + "' = fmod('" + Name + "' + " +
-                    std::to_string(U.Delta) + ", " + std::to_string(U.Mod) +
-                    ") per firing, tape computes " +
-                    V.str(&Tape.fieldNames()));
-      break;
-    }
-    case FieldKind::InputDetermined: {
-      for (size_t J = 0; J != Final.size(); ++J) {
-        const AffineValue &V = Final[J];
-        if (V.isTop()) {
-          // A nonlinear function of the current inputs is still
-          // input-determined; Top alone is not a violation.
-          continue;
-        }
-        for (const auto &KV : V.State) {
-          if (KV.second == 0.0 || SymAllowed(KV.first))
-            continue;
-          R.error(Pass, Where, -1,
-                  "claimed '" + Name +
-                      "' is rewritten from current inputs, but its value "
-                      "depends on prior-firing state: " +
-                      V.str(&Tape.fieldNames()));
-          break;
-        }
-      }
-      break;
-    }
-    }
-  }
-}
-
 std::string verify::verifyState(const CompiledProgram &P, LintReport &R) {
   const char *Pass = "verify-state";
   size_t Before = R.findings().size();
+  const CompiledProgram::ShardInfo &Sh = P.shardInfo();
+  if (!Sh.Shardable)
+    return ""; // nothing is seeded; the backend runs sequentially
   const flat::FlatGraph &G = P.graph();
-  std::map<size_t, wir::SteadyStateInfo> ClaimsByNode;
+  std::map<size_t, SteadyStateInfo> ClassByNode;
   for (size_t I = 0; I != G.Nodes.size(); ++I) {
     const flat::Node &N = G.Nodes[I];
     if (N.Kind != flat::NodeKind::Filter || !N.F || N.F->isNative())
@@ -501,56 +456,63 @@ std::string verify::verifyState(const CompiledProgram &P, LintReport &R) {
     const CompiledProgram::FilterArtifact &Art = P.filterArtifact(I);
     if (Art.Work.empty())
       continue;
-    wir::SteadyStateInfo Claims = Art.Work.analyzeSteadyState(N.F->fields());
-    if (Claims.Reconstructable)
-      lintStateClaims(Art.Work, N.F->fields(), Claims, N.Name, R);
-    ClaimsByNode.emplace(I, std::move(Claims));
+    SteadyStateInfo Class = classifySteadyState(Art.Work, N.F->fields());
+    if (!Class.Reconstructable)
+      R.error(Pass, N.Name, -1,
+              "program is marked shardable, but the filter's state cannot "
+              "be reconstructed: " + Class.Reason);
+    ClassByNode.emplace(I, std::move(Class));
   }
 
-  // The shard seeds are derived from these claims; cross-check that what
-  // the parallel backend will seed matches what the tapes re-derive.
-  const CompiledProgram::ShardInfo &Sh = P.shardInfo();
-  if (Sh.Shardable) {
-    for (const CompiledProgram::ShardInfo::FieldSeed &Seed : Sh.Seeds) {
-      auto It = ClaimsByNode.find(static_cast<size_t>(Seed.Node));
-      if (It == ClaimsByNode.end())
-        continue; // native filter seeds are out of tape scope
-      const flat::Node &N = G.Nodes[static_cast<size_t>(Seed.Node)];
-      const wir::SteadyStateInfo::FieldUpdate *U =
-          It->second.updateFor(Seed.Field);
-      if (!U) {
-        R.error(Pass, N.Name, -1,
-                "shard seed for field " + std::to_string(Seed.Field) +
-                    " has no matching state claim");
-        continue;
-      }
-      bool DeltaOk = Seed.DeltaRest == U->Delta;
-      bool ModOk =
-          U->Kind == wir::SteadyStateInfo::FieldKind::ModAffine
-              ? Seed.Modulus == U->Mod
-              : Seed.Modulus == 0.0;
-      if (U->Kind == wir::SteadyStateInfo::FieldKind::InputDetermined)
-        R.error(Pass, N.Name, -1,
-                "shard seed exists for input-determined field " +
-                    std::to_string(Seed.Field));
-      else if (!DeltaOk || !ModOk)
-        R.error(Pass, N.Name, -1,
-                "shard seed (delta " + std::to_string(Seed.DeltaRest) +
-                    ", mod " + std::to_string(Seed.Modulus) +
-                    ") disagrees with the tape's state claim (delta " +
-                    std::to_string(U->Delta) + ", mod " +
-                    std::to_string(U->Mod) + ")");
-      if (N.F && !N.F->hasInitWork() && Seed.Field >= 0 &&
-          static_cast<size_t>(Seed.Field) < N.F->fields().size()) {
-        const wir::FieldDef &FD =
-            N.F->fields()[static_cast<size_t>(Seed.Field)];
-        if (!FD.Init.empty() && Seed.Base != FD.Init[0])
-          R.error(Pass, N.Name, -1,
-                  "shard seed base " + std::to_string(Seed.Base) +
-                      " disagrees with field initializer " +
-                      std::to_string(FD.Init[0]));
-      }
+  // Each seed must follow its field's state class.
+  for (const CompiledProgram::ShardInfo::FieldSeed &Seed : Sh.Seeds) {
+    auto It = ClassByNode.find(static_cast<size_t>(Seed.Node));
+    if (It == ClassByNode.end())
+      continue; // native filter seeds are out of tape scope
+    const flat::Node &N = G.Nodes[static_cast<size_t>(Seed.Node)];
+    const SteadyStateInfo::FieldUpdate *U = It->second.updateFor(Seed.Field);
+    if (!U) {
+      R.error(Pass, N.Name, -1,
+              "shard seed for field " + std::to_string(Seed.Field) +
+                  " has no matching state class");
+      continue;
     }
+    bool DeltaOk = Seed.DeltaRest == U->Delta;
+    bool ModOk = U->Kind == SteadyStateInfo::FieldKind::ModAffine
+                     ? Seed.Modulus == U->Mod
+                     : Seed.Modulus == 0.0;
+    if (U->Kind == SteadyStateInfo::FieldKind::InputDetermined)
+      R.error(Pass, N.Name, -1,
+              "shard seed exists for input-determined field " +
+                  std::to_string(Seed.Field));
+    else if (!DeltaOk || !ModOk)
+      R.error(Pass, N.Name, -1,
+              "shard seed (delta " + std::to_string(Seed.DeltaRest) +
+                  ", mod " + std::to_string(Seed.Modulus) +
+                  ") disagrees with the tape's state class (delta " +
+                  std::to_string(U->Delta) + ", mod " +
+                  std::to_string(U->Mod) + ")");
+    if (!N.F->hasInitWork()) {
+      const wir::FieldDef &FD = N.F->fields()[static_cast<size_t>(Seed.Field)];
+      if (!FD.Init.empty() && Seed.Base != FD.Init[0])
+        R.error(Pass, N.Name, -1,
+                "shard seed base " + std::to_string(Seed.Base) +
+                    " disagrees with field initializer " +
+                    std::to_string(FD.Init[0]));
+      if (Seed.DeltaFirst != Seed.DeltaRest)
+        R.error(Pass, N.Name, -1,
+                "shard seed's first step " + std::to_string(Seed.DeltaFirst) +
+                    " differs from its steady step, with no init work");
+    }
+  }
+
+  // A program with any error so far, in this pass or an earlier one, is
+  // not executed: a wrong seed or a faulting tape can drive an index out
+  // of range, which the engine treats as fatal.
+  if (R.errorCount() == 0) {
+    std::string Err = replayShard(P);
+    if (!Err.empty())
+      R.error(Pass, "shards", -1, Err);
   }
   return passResult(R, Before, "verify-state");
 }

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The three lint analyses built on the abstract tape executor
-/// (verify/AbstractInterp.h), each an independent re-derivation of a
-/// fact the optimizer stack otherwise takes on trust:
+/// (linear/AbstractExec.h), each checking a fact the optimizer stack and
+/// the engines otherwise take on trust:
 ///
 ///  * verify-linear — the linearity oracle: re-derives the affine form
 ///    [A, b] of every work function from its op tape and cross-checks
@@ -17,10 +17,10 @@
 ///    the declared ones, keeps every flat-buffer position inside the
 ///    StaticSchedule's high-water marks and buffer capacities (the
 ///    positions the CxxEmit lowering indexes with);
-///  * verify-state — the state-classification audit: re-runs
-///    analyzeSteadyState and abstractly executes one steady firing to
-///    confirm every affine / modular / input-determined claim the
-///    parallel backend's shard seeding trusts.
+///  * verify-state — the shard-recipe audit: every seed in the program's
+///    ShardInfo must match the tape's state class (classifySteadyState),
+///    and a worker seeded at a fixed steady iteration and washed out
+///    must then reproduce a sequential run's outputs bit for bit.
 ///
 /// All three run as pipeline passes under SLIN_VERIFY (compiler/
 /// Pipeline.cpp) and power the standalone tools/slin-lint CLI.
@@ -31,7 +31,7 @@
 #define SLIN_VERIFY_LINT_H
 
 #include "compiler/Program.h"
-#include "verify/AbstractInterp.h"
+#include "linear/AbstractExec.h"
 
 #include <string>
 #include <vector>
@@ -110,14 +110,6 @@ void lintTapeLinear(const wir::OpProgram &Tape, const Filter &F,
 void lintTapeBounds(const wir::OpProgram &Tape,
                     const std::vector<wir::FieldDef> &Fields,
                     const std::string &Where, LintReport &R);
-
-/// Audits externally supplied steady-state \p Claims against the tape's
-/// abstract execution — the claims are a parameter (rather than
-/// recomputed) so corrupted/mislabeled claims can be tested directly.
-void lintStateClaims(const wir::OpProgram &Tape,
-                     const std::vector<wir::FieldDef> &Fields,
-                     const wir::SteadyStateInfo &Claims,
-                     const std::string &Where, LintReport &R);
 
 } // namespace verify
 } // namespace slin

@@ -6,7 +6,6 @@
 #include "support/OpCounters.h"
 #include "support/Serialize.h"
 
-#include <array>
 #include <cmath>
 
 using namespace slin;
@@ -837,466 +836,6 @@ void OpProgram::run(WorkFrame &F, FieldStore &State, const double *In,
   }
 #endif
   runImpl<false>(F, In, Out, Printed);
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-firing state classification
-//===----------------------------------------------------------------------===//
-//
-// The parallel backend (exec/Parallel.h) reconstructs the runtime state a
-// filter would hold at steady iteration k without executing iterations
-// 0..k-1. That is possible exactly when every mutable field either
-// progresses in closed form (counters, modular cursors) or is rewritten
-// each firing from the current input window (delay lines) — and when no
-// value flows from one firing to the next through the register frame or
-// local-array store. The walk below proves those properties directly on
-// the instruction tape.
-
-namespace {
-
-/// Symbolic class of a register value at a store site.
-struct ValClass {
-  enum Kind {
-    Constant,    ///< literal / const-scalar-field value, known
-    FieldAffine, ///< value of the stored field plus a known delta
-    Input,       ///< pure function of current-firing inputs & constants
-    Opaque
-  } K = Opaque;
-  double Num = 0.0; ///< Constant: the value; FieldAffine: the delta
-};
-
-struct StateScan {
-  const std::vector<Inst> &Code;
-  const std::vector<FieldDef> &Fields;
-  /// All pcs writing each register.
-  std::vector<std::vector<int>> Writers;
-  /// Instructions inside a conditional or loop region.
-  std::vector<bool> Guarded;
-  /// Fields already proven Affine/ModAffine (phase 1); reading them in an
-  /// input-determined cone is fine — workers seed them exactly.
-  std::vector<bool> ClosedForm;
-  /// Mutable fields stored anywhere in the tape.
-  std::vector<bool> Stored;
-
-  StateScan(const std::vector<Inst> &Code, const std::vector<FieldDef> &Fields)
-      : Code(Code), Fields(Fields), Guarded(Code.size(), false),
-        ClosedForm(Fields.size(), false), Stored(Fields.size(), false) {}
-
-  static int destReg(const Inst &I) {
-    switch (I.K) {
-    case Op::Push:
-    case Op::Print:
-    case Op::StoreFld:
-    case Op::StoreFldIdx:
-    case Op::StoreArr:
-    case Op::ZeroArr:
-    case Op::PopDiscard:
-    case Op::Jump:
-    case Op::JumpIfZero:
-    case Op::JumpIfGe:
-    case Op::Halt:
-      return -1;
-    case Op::IncJump:
-      return I.A;
-    default:
-      return I.A;
-    }
-  }
-
-  void mark() {
-    for (size_t P = 0; P != Code.size(); ++P) {
-      const Inst &I = Code[P];
-      int Target = -1;
-      switch (I.K) {
-      case Op::Jump:
-        Target = I.A;
-        break;
-      case Op::JumpIfZero:
-        Target = I.B;
-        break;
-      case Op::JumpIfGe:
-        Target = I.C;
-        break;
-      case Op::IncJump:
-        Target = I.B;
-        break;
-      default:
-        break;
-      }
-      if (Target < 0)
-        continue;
-      if (Target > static_cast<int>(P)) {
-        // Forward branch: (P, Target) executes conditionally.
-        for (int Q = static_cast<int>(P) + 1; Q < Target; ++Q)
-          Guarded[static_cast<size_t>(Q)] = true;
-      } else {
-        // Back edge: [Target, P] is a loop body (variable trip count).
-        for (int Q = Target; Q <= static_cast<int>(P); ++Q)
-          Guarded[static_cast<size_t>(Q)] = true;
-      }
-    }
-    Writers.assign(64, {});
-    for (size_t P = 0; P != Code.size(); ++P) {
-      int D = destReg(Code[P]);
-      if (D < 0)
-        continue;
-      if (static_cast<size_t>(D) >= Writers.size())
-        Writers.resize(static_cast<size_t>(D) + 1);
-      Writers[static_cast<size_t>(D)].push_back(static_cast<int>(P));
-    }
-    for (size_t P = 0; P != Code.size(); ++P)
-      if (Code[P].K == Op::StoreFld || Code[P].K == Op::StoreFldIdx)
-        Stored[static_cast<size_t>(Code[P].B)] = true;
-  }
-
-  /// Every register (and local array) must be written earlier in tape
-  /// order than it is first read, or values could flow between firings
-  /// through the frame.
-  const char *checkWriteBeforeRead() const {
-    std::vector<bool> Written(Writers.size(), false);
-    std::vector<bool> Zeroed(64, false);
-    auto ReadOK = [&](int R) {
-      return R >= 0 && static_cast<size_t>(R) < Written.size() &&
-             Written[static_cast<size_t>(R)];
-    };
-    for (const Inst &I : Code) {
-      std::array<int, 3> Reads = {-1, -1, -1};
-      bool ReadsArr = false;
-      switch (I.K) {
-      case Op::Const:
-      case Op::Pop:
-      case Op::PopDiscard:
-      case Op::PeekImm:
-      case Op::Halt:
-      case Op::Jump:
-      case Op::ZeroArr:
-        break;
-      case Op::Copy:
-      case Op::Round:
-      case Op::Neg:
-      case Op::Bool:
-      case Op::Not:
-        Reads[0] = I.B;
-        break;
-      case Op::Peek:
-      case Op::Intrin:
-        Reads[0] = I.C;
-        break;
-      case Op::LoadFld:
-        break;
-      case Op::LoadFldIdx:
-        Reads[0] = I.C;
-        break;
-      case Op::LoadArr:
-        Reads[0] = I.C;
-        ReadsArr = true;
-        break;
-      case Op::StoreArr:
-        Reads[0] = I.A;
-        Reads[1] = I.C;
-        break;
-      case Op::StoreFld:
-        Reads[0] = I.A;
-        break;
-      case Op::StoreFldIdx:
-        Reads[0] = I.A;
-        Reads[1] = I.C;
-        break;
-      case Op::Push:
-      case Op::Print:
-      case Op::JumpIfZero:
-      case Op::IncJump:
-        Reads[0] = I.A;
-        break;
-      case Op::JumpIfGe:
-        Reads[0] = I.A;
-        Reads[1] = I.B;
-        break;
-      case Op::AddImm:
-        Reads[0] = I.B;
-        break;
-      case Op::MulAdd:
-        Reads[0] = I.B;
-        Reads[1] = I.C;
-        Reads[2] = I.D;
-        break;
-      case Op::MacFldPeek:
-        Reads[0] = I.A; // accumulator
-        Reads[1] = I.C;
-        break;
-      default: // binary arithmetic / compares
-        Reads[0] = I.B;
-        Reads[1] = I.C;
-        break;
-      }
-      for (int R : Reads)
-        if (R != -1 && !ReadOK(R))
-          return "register read before any write in the firing";
-      if (ReadsArr) {
-        size_t Slot = static_cast<size_t>(I.B);
-        if (Slot >= Zeroed.size() || !Zeroed[Slot])
-          return "local array read before its declaration zero-fill";
-      }
-      if (I.K == Op::ZeroArr) {
-        size_t Slot = static_cast<size_t>(I.A);
-        if (Slot >= Zeroed.size())
-          Zeroed.resize(Slot + 1, false);
-        Zeroed[Slot] = true;
-      }
-      int D = destReg(I);
-      if (D >= 0)
-        Written[static_cast<size_t>(D)] = true;
-    }
-    return nullptr;
-  }
-
-  /// The write to \p Reg that reaches a read at \p Pc in straight-line
-  /// order: the nearest writer strictly before \p Pc. -1 when none. The
-  /// register allocator reuses slots, so chains must be traced through
-  /// reaching definitions, not unique writers.
-  int nearestWriterBefore(int Reg, int Pc) const {
-    if (Reg < 0 || static_cast<size_t>(Reg) >= Writers.size())
-      return -1;
-    int Best = -1;
-    for (int P : Writers[static_cast<size_t>(Reg)])
-      if (P < Pc && P > Best)
-        Best = P;
-    return Best;
-  }
-
-  /// Follows the producing chain of \p Reg as read at \p Pc for the
-  /// closed-form patterns (field + const, optionally mod const). The
-  /// chain must be straight-line (unguarded): a conditionally-executed
-  /// definition has no unique linear reaching write. Returns Opaque when
-  /// the chain is not one of the patterns.
-  ValClass affineClass(int Reg, int Pc, int Field, int Depth) const {
-    ValClass Bad;
-    if (Depth > 64)
-      return Bad;
-    int W = nearestWriterBefore(Reg, Pc);
-    if (W < 0 || Guarded[static_cast<size_t>(W)])
-      return Bad;
-    const Inst &I = Code[static_cast<size_t>(W)];
-    switch (I.K) {
-    case Op::Const:
-      return {ValClass::Constant, I.Imm};
-    case Op::LoadFld: {
-      if (I.B == Field)
-        return {ValClass::FieldAffine, 0.0};
-      const FieldDef &F = Fields[static_cast<size_t>(I.B)];
-      if (!F.IsMutable && !F.IsArray)
-        return {ValClass::Constant, F.Init[0]};
-      return Bad;
-    }
-    case Op::Copy:
-      return affineClass(I.B, W, Field, Depth + 1);
-    case Op::AddImm: {
-      ValClass B = affineClass(I.B, W, Field, Depth + 1);
-      if (B.K == ValClass::Constant)
-        return {ValClass::Constant, B.Num + I.Imm};
-      if (B.K == ValClass::FieldAffine)
-        return {ValClass::FieldAffine, B.Num + I.Imm};
-      return Bad;
-    }
-    case Op::Add:
-    case Op::Sub: {
-      ValClass B = affineClass(I.B, W, Field, Depth + 1);
-      ValClass C = affineClass(I.C, W, Field, Depth + 1);
-      double Sign = I.K == Op::Sub ? -1.0 : 1.0;
-      if (B.K == ValClass::Constant && C.K == ValClass::Constant)
-        return {ValClass::Constant, B.Num + Sign * C.Num};
-      if (B.K == ValClass::FieldAffine && C.K == ValClass::Constant)
-        return {ValClass::FieldAffine, B.Num + Sign * C.Num};
-      if (I.K == Op::Add && B.K == ValClass::Constant &&
-          C.K == ValClass::FieldAffine)
-        return {ValClass::FieldAffine, B.Num + C.Num};
-      return Bad;
-    }
-    default:
-      return Bad;
-    }
-  }
-
-  /// True when every value flowing into \p Reg, as read at \p Pc, derives
-  /// from the current firing's inputs, constants, const fields, or
-  /// closed-form fields. Straight-line reads have a unique reaching
-  /// definition; reads in or fed from guarded regions conservatively
-  /// require every writer of the register to qualify.
-  bool inputDetermined(int Reg, int Pc, std::vector<int64_t> &Stack) const {
-    int Nearest = nearestWriterBefore(Reg, Pc);
-    if (Nearest < 0)
-      return false;
-    std::vector<int> Defs;
-    if (!Guarded[static_cast<size_t>(Nearest)] &&
-        !Guarded[static_cast<size_t>(Pc)])
-      Defs.push_back(Nearest);
-    else
-      Defs = Writers[static_cast<size_t>(Reg)]; // any may reach via jumps
-    bool OK = true;
-    for (int P : Defs) {
-      int64_t Tag = (static_cast<int64_t>(Reg) << 32) | P;
-      bool Seen = false;
-      for (int64_t T : Stack)
-        if (T == Tag)
-          Seen = true;
-      if (Seen)
-        continue; // cycle: grounded by the definition outside it
-      Stack.push_back(Tag);
-      const Inst &I = Code[static_cast<size_t>(P)];
-      switch (I.K) {
-      case Op::Const:
-      case Op::Pop:
-      case Op::Peek:
-      case Op::PeekImm:
-        break;
-      case Op::LoadFld:
-      case Op::LoadFldIdx: {
-        const FieldDef &F = Fields[static_cast<size_t>(I.B)];
-        bool Fine = !F.IsMutable || !Stored[static_cast<size_t>(I.B)] ||
-                    ClosedForm[static_cast<size_t>(I.B)];
-        if (!Fine)
-          OK = false;
-        else if (I.K == Op::LoadFldIdx)
-          OK = OK && inputDetermined(I.C, P, Stack);
-        break;
-      }
-      case Op::Copy:
-      case Op::Round:
-      case Op::Neg:
-      case Op::Bool:
-      case Op::Not:
-        OK = OK && inputDetermined(I.B, P, Stack);
-        break;
-      case Op::Intrin:
-        OK = OK && inputDetermined(I.C, P, Stack);
-        break;
-      case Op::AddImm:
-        OK = OK && inputDetermined(I.B, P, Stack);
-        break;
-      case Op::LoadArr:
-        OK = OK && inputDetermined(I.C, P, Stack);
-        break;
-      case Op::MulAdd:
-        OK = OK && inputDetermined(I.B, P, Stack) &&
-             inputDetermined(I.C, P, Stack) && inputDetermined(I.D, P, Stack);
-        break;
-      case Op::MacFldPeek: {
-        const FieldDef &F = Fields[static_cast<size_t>(I.B)];
-        if (F.IsMutable && Stored[static_cast<size_t>(I.B)])
-          OK = false;
-        else
-          OK = OK && inputDetermined(I.C, P, Stack);
-        break;
-      }
-      case Op::IncJump:
-        break; // counter += 1; grounded by its Const initializer
-      case Op::Add:
-      case Op::Sub:
-      case Op::Mul:
-      case Op::Div:
-      case Op::Mod:
-      case Op::Lt:
-      case Op::Le:
-      case Op::Gt:
-      case Op::Ge:
-      case Op::Eq:
-      case Op::Ne:
-        OK = OK && inputDetermined(I.B, P, Stack) &&
-             inputDetermined(I.C, P, Stack);
-        break;
-      default:
-        OK = false; // stores/jumps never write registers
-        break;
-      }
-      Stack.pop_back();
-      if (!OK)
-        break;
-    }
-    return OK;
-  }
-};
-
-} // namespace
-
-SteadyStateInfo
-OpProgram::analyzeSteadyState(const std::vector<FieldDef> &Fields) const {
-  SteadyStateInfo Info;
-  auto Fail = [&](const char *Why) {
-    Info.Reconstructable = false;
-    Info.Reason = Why;
-    Info.Updates.clear();
-    return Info;
-  };
-
-  StateScan S(Code, Fields);
-  S.mark();
-  if (const char *Why = S.checkWriteBeforeRead())
-    return Fail(Why);
-
-  // Locate the field stores; each mutable field may be stored once, at
-  // top level (a guarded store retains stale state on the skipped path).
-  std::vector<int> StorePc(Fields.size(), -1);
-  for (size_t P = 0; P != Code.size(); ++P) {
-    const Inst &I = Code[P];
-    if (I.K == Op::StoreFldIdx)
-      return Fail("indexed store to a mutable field array");
-    if (I.K != Op::StoreFld)
-      continue;
-    if (S.Guarded[P])
-      return Fail("conditional field store");
-    if (StorePc[static_cast<size_t>(I.B)] >= 0)
-      return Fail("field stored more than once per firing");
-    StorePc[static_cast<size_t>(I.B)] = static_cast<int>(P);
-  }
-
-  // Phase 1: closed-form progressions (f' = f + c, f' = fmod(f + c, m)).
-  for (size_t F = 0; F != Fields.size(); ++F) {
-    if (StorePc[F] < 0)
-      continue;
-    int Pc = StorePc[F];
-    const Inst &St = Code[static_cast<size_t>(Pc)];
-    ValClass V = S.affineClass(St.A, Pc, static_cast<int>(F), 0);
-    if (V.K == ValClass::FieldAffine) {
-      Info.Updates.push_back({static_cast<int>(F),
-                              SteadyStateInfo::FieldKind::Affine, V.Num, 0.0});
-      S.ClosedForm[F] = true;
-      continue;
-    }
-    // fmod(f + c, m): a Mod whose left chain is affine in f and whose
-    // right chain is a positive constant.
-    int W = S.nearestWriterBefore(St.A, Pc);
-    if (W >= 0 && !S.Guarded[static_cast<size_t>(W)]) {
-      const Inst &Prod = Code[static_cast<size_t>(W)];
-      if (Prod.K == Op::Mod) {
-        ValClass L = S.affineClass(Prod.B, W, static_cast<int>(F), 0);
-        ValClass M = S.affineClass(Prod.C, W, static_cast<int>(F), 0);
-        if (L.K == ValClass::FieldAffine && M.K == ValClass::Constant &&
-            M.Num > 0) {
-          Info.Updates.push_back({static_cast<int>(F),
-                                  SteadyStateInfo::FieldKind::ModAffine,
-                                  L.Num, M.Num});
-          S.ClosedForm[F] = true;
-          continue;
-        }
-      }
-    }
-  }
-
-  // Phase 2: remaining stores must be rewritten from current inputs only.
-  for (size_t F = 0; F != Fields.size(); ++F) {
-    if (StorePc[F] < 0 || S.ClosedForm[F])
-      continue;
-    const Inst &St = Code[static_cast<size_t>(StorePc[F])];
-    std::vector<int64_t> Stack;
-    if (!S.inputDetermined(St.A, StorePc[F], Stack))
-      return Fail("field store depends on prior-firing state");
-    Info.Updates.push_back({static_cast<int>(F),
-                            SteadyStateInfo::FieldKind::InputDetermined, 0.0,
-                            0.0});
-  }
-
-  Info.Reconstructable = true;
-  return Info;
 }
 
 //===----------------------------------------------------------------------===//

@@ -97,56 +97,6 @@ struct WorkFrame {
   std::vector<int32_t> FldSizes;
 };
 
-/// Classification of a work function's cross-firing state, computed by
-/// OpProgram::analyzeSteadyState for the parallel backend's shard-boundary
-/// reconstruction (exec/Parallel.h). A firing is *reconstructable* when
-/// its observable behaviour is a function of (a) the current firing's
-/// input window, (b) fields whose per-firing progression has a closed
-/// form, and (c) fields fully rewritten from the current inputs — so a
-/// worker can jump to steady iteration k by seeding (b) exactly and
-/// replaying a bounded warmup to refresh (c) and the channel contents.
-struct SteadyStateInfo {
-  enum class FieldKind {
-    Affine,          ///< f' = f + Delta; seed f += Delta * firings
-    ModAffine,       ///< f' = fmod(f + Delta, Mod), 0 <= f < Mod
-    InputDetermined, ///< rewritten each firing from current inputs only
-  };
-  struct FieldUpdate {
-    int Field = -1;
-    FieldKind Kind = FieldKind::InputDetermined;
-    double Delta = 0.0;
-    double Mod = 0.0; ///< ModAffine only
-  };
-
-  /// False: the tape carries state this analysis cannot reconstruct
-  /// (conditional or indexed field stores, self-referencing accumulators,
-  /// values read before they are written in a firing). Shard boundaries
-  /// cannot be reconstructed; the parallel backend falls back.
-  bool Reconstructable = false;
-  const char *Reason = ""; ///< why not, when !Reconstructable
-
-  /// One entry per mutable field the tape stores.
-  std::vector<FieldUpdate> Updates;
-
-  /// Firings of *this filter* whose inputs determine its current state:
-  /// 0 when every stored field has a closed form, 1 when any field is
-  /// rewritten from the current inputs (the previous firing's value is
-  /// gone after one replayed firing).
-  int stateDepthFirings() const {
-    for (const FieldUpdate &U : Updates)
-      if (U.Kind == FieldKind::InputDetermined)
-        return 1;
-    return 0;
-  }
-
-  const FieldUpdate *updateFor(int Field) const {
-    for (const FieldUpdate &U : Updates)
-      if (U.Field == Field)
-        return &U;
-    return nullptr;
-  }
-};
-
 /// A compiled work function.
 class OpProgram {
 public:
@@ -163,10 +113,10 @@ public:
   size_t size() const { return Code.size(); }
   const std::vector<Inst> &code() const { return Code; }
 
-  // Read-only frame/layout metadata, for diagnostics and the
-  // abstract-interpretation linter (src/verify/), which re-executes the
-  // tape symbolically and must address registers, fields and local
-  // arrays exactly as runImpl does.
+  // Read-only frame/layout metadata, for diagnostics and the abstract
+  // executor (linear/AbstractExec.h), which re-executes the tape
+  // symbolically and must address registers, fields and local arrays
+  // exactly as runImpl does.
   int numRegs() const { return NumRegs; }
   int arrayCount() const { return static_cast<int>(ArrBase.size()); }
   int arrayBase(int Slot) const {
@@ -187,10 +137,6 @@ public:
 
   /// Sizes \p F for this program (idempotent; cheap when already sized).
   void prepareFrame(WorkFrame &F) const;
-
-  /// Classifies this tape's cross-firing state (see SteadyStateInfo).
-  /// \p Fields must be the field list the program was compiled against.
-  SteadyStateInfo analyzeSteadyState(const std::vector<FieldDef> &Fields) const;
 
   /// Binary persistence (support/Serialize.h): instructions and frame
   /// metadata are written verbatim, so a loaded program executes the

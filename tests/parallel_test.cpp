@@ -13,6 +13,7 @@
 #include "apps/Benchmarks.h"
 #include "apps/Dsp.h"
 #include "compiler/AnalysisManager.h"
+#include "compiler/Pipeline.h"
 #include "compiler/Program.h"
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
@@ -23,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <map>
 #include <thread>
 
 using namespace slin;
@@ -690,6 +693,227 @@ TEST(ShardBoundary, OpaqueStateIsRejected) {
   EXPECT_EQ(Ref.Printed, Par.Printed);
   EXPECT_TRUE(Ref.Ops == Par.Ops);
   EXPECT_TRUE(Stats.Sequential);
+}
+
+//===----------------------------------------------------------------------===//
+// State-classification agreement table
+//===----------------------------------------------------------------------===//
+//
+// Hand-written filters with the verdict the shard-boundary state analysis
+// must reach for each, observed through the program's ShardInfo — the
+// only thing the parallel backend trusts: a closed-form field becomes a
+// FieldSeed (Modulus 0 for a counter, > 0 for a cursor), an
+// input-determined field adds no seed but forces a washout, and state
+// that cannot be reconstructed makes the program unshardable with the
+// filter named in the reason.
+
+enum class Verdict { Affine, ModAffine, InputDetermined, NotReconstructable };
+
+struct StateCase {
+  std::string Name; ///< also the filter's name
+  Verdict Expect;
+  std::vector<FieldDef> Fields;
+  std::function<WorkFunction()> Work; ///< pop 1 / push 1
+  double Delta = 0.0, Mod = 0.0;      ///< expected seed (closed forms)
+};
+
+std::vector<StateCase> stateCases() {
+  using namespace slin::wir;
+  using namespace slin::wir::build;
+  auto Scalar = [](const char *N) { return FieldDef::mutableScalar(N, 0); };
+  std::vector<StateCase> C;
+  C.push_back({"Counter", Verdict::Affine, {Scalar("n")}, [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(push(add(pop(), fld("n"))),
+                              fldAssign("n", add(fld("n"), cst(3)))));
+  }, 3.0, 0.0});
+  C.push_back({"Cursor", Verdict::ModAffine, {Scalar("idx")}, [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(push(add(pop(), fld("idx"))),
+                              fldAssign("idx", mod(add(fld("idx"), cst(2)),
+                                                   cst(7)))));
+  }, 2.0, 7.0});
+  C.push_back({"DelayLine", Verdict::InputDetermined, {Scalar("last")}, [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(push(fld("last")), fldAssign("last", pop())));
+  }});
+  C.push_back({"AbsDelay", Verdict::InputDetermined, {Scalar("last")}, [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(push(fld("last")),
+                              fldAssign("last", absE(pop()))));
+  }});
+  C.push_back({"TableByCursor", Verdict::InputDetermined,
+               {FieldDef::constArray("table", {0.5, -1, 2, 4}), Scalar("idx"),
+                Scalar("last")},
+               [] {
+    return WorkFunction(
+        1, 1, 1,
+        stmts(push(fld("last")),
+              fldAssign("last", mul(fldAt("table", fld("idx")), pop())),
+              fldAssign("idx", mod(add(fld("idx"), cst(1)), cst(4)))));
+  }});
+  C.push_back({"Accumulator", Verdict::NotReconstructable, {Scalar("acc")},
+               [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(fldAssign("acc", add(fld("acc"), pop())),
+                              push(fld("acc"))));
+  }});
+  C.push_back({"SignLatch", Verdict::NotReconstructable, {Scalar("acc")}, [] {
+    return WorkFunction(
+        1, 1, 1,
+        stmts(ifStmt(gt(fld("acc"), cst(0)), stmts(fldAssign("acc", cst(1))),
+                     stmts(fldAssign("acc", cst(0)))),
+              push(add(fld("acc"), pop()))));
+  }});
+  C.push_back({"StoredTwice", Verdict::NotReconstructable, {Scalar("f")}, [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(fldAssign("f", add(fld("f"), cst(1))),
+                              push(add(fld("f"), pop())),
+                              fldAssign("f", mul(fld("f"), cst(2)))));
+  }});
+  C.push_back({"RingBuffer", Verdict::NotReconstructable,
+               {FieldDef::mutableArray("buf", {0, 0, 0, 0}), Scalar("pos")},
+               [] {
+    return WorkFunction(
+        1, 1, 1,
+        stmts(push(fldAt("buf", fld("pos"))),
+              fldArrAssign("buf", fld("pos"), pop()),
+              fldAssign("pos", mod(add(fld("pos"), cst(1)), cst(4)))));
+  }});
+  C.push_back({"Countdown", Verdict::NotReconstructable, {Scalar("idx")}, [] {
+    return WorkFunction(1, 1, 1,
+                        stmts(push(add(pop(), fld("idx"))),
+                              fldAssign("idx", mod(sub(fld("idx"), cst(1)),
+                                                   cst(8)))));
+  }});
+  return C;
+}
+
+void PrintTo(const StateCase &C, std::ostream *OS) { *OS << C.Name; }
+
+class StateAgreement : public ::testing::TestWithParam<StateCase> {};
+
+TEST_P(StateAgreement, ShardInfoMatchesTheExpectedVerdict) {
+  const StateCase &C = GetParam();
+  auto Root = std::make_unique<Pipeline>("p");
+  Root->add(makeCountingSource());
+  Root->add(std::make_unique<Filter>(C.Name, C.Fields, C.Work()));
+  Root->add(makePrinterSink());
+  CompiledProgramRef P = makeProgram(*Root);
+  const CompiledProgram::ShardInfo &SI = P->shardInfo();
+
+  int Node = -1;
+  for (size_t I = 0; I != P->graph().Nodes.size(); ++I)
+    if (P->graph().Nodes[I].Name.find(C.Name) != std::string::npos)
+      Node = static_cast<int>(I);
+  ASSERT_GE(Node, 0);
+  std::vector<CompiledProgram::ShardInfo::FieldSeed> Own;
+  for (const CompiledProgram::ShardInfo::FieldSeed &S : SI.Seeds)
+    if (S.Node == Node)
+      Own.push_back(S);
+
+  switch (C.Expect) {
+  case Verdict::Affine:
+  case Verdict::ModAffine:
+    ASSERT_TRUE(SI.Shardable) << SI.Reason;
+    ASSERT_EQ(Own.size(), 1u);
+    EXPECT_EQ(Own[0].DeltaRest, C.Delta);
+    EXPECT_EQ(Own[0].Modulus, C.Mod);
+    EXPECT_EQ(SI.WashoutIterations, 0);
+    break;
+  case Verdict::InputDetermined:
+    ASSERT_TRUE(SI.Shardable) << SI.Reason;
+    EXPECT_EQ(Own.size(), C.Name == "TableByCursor" ? 1u : 0u);
+    EXPECT_GE(SI.WashoutIterations, 1);
+    break;
+  case Verdict::NotReconstructable:
+    EXPECT_FALSE(SI.Shardable);
+    EXPECT_NE(SI.Reason.find(C.Name), std::string::npos) << SI.Reason;
+    EXPECT_TRUE(SI.Seeds.empty());
+    break;
+  }
+
+  // Whatever the verdict, sharded runs reproduce the sequential stream.
+  ParallelOptions PO;
+  PO.Workers = 4;
+  PO.ShardMinIterations = 4;
+  RefRun Ref = referenceRun(P, 64);
+  RefRun Par = parallelRun(P, 64, PO);
+  EXPECT_EQ(Ref.Printed, Par.Printed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HandWritten, StateAgreement, ::testing::ValuesIn(stateCases()),
+    [](const ::testing::TestParamInfo<StateCase> &I) { return I.param.Name; });
+
+/// Compact rendering of every ShardInfo field.
+std::string renderShardInfo(const CompiledProgram::ShardInfo &SI) {
+  std::string S = (SI.Shardable ? "shardable" : "sequential") +
+                  std::string(" washout=") +
+                  std::to_string(SI.WashoutIterations);
+  if (!SI.Reason.empty())
+    S += " reason='" + SI.Reason + "'";
+  char Buf[96];
+  for (const CompiledProgram::ShardInfo::FieldSeed &Sd : SI.Seeds) {
+    std::snprintf(Buf, sizeof(Buf), " %d.%d:%g+%g/%g%%%g", Sd.Node,
+                  Sd.Field, Sd.Base, Sd.DeltaFirst, Sd.DeltaRest, Sd.Modulus);
+    S += Buf;
+  }
+  return S;
+}
+
+TEST(StateAgreement, BenchmarkShardInfoIsPinned) {
+  // Every app as written and under AutoSel: the shard recipe the state
+  // analysis derives, pinned field by field.
+  const std::string Radar12 = [] {
+    std::string S;
+    for (int N = 0; N != 12; ++N)
+      S += " " + std::to_string(N * 3) + ".0:0+1/1%0";
+    return S;
+  }();
+  const std::string RadarSel12 = [] {
+    std::string S;
+    for (int N = 0; N != 12; ++N)
+      S += " " + std::to_string(N) + ".0:0+1/1%0";
+    return S;
+  }();
+  const std::string DToA =
+      "sequential washout=0 reason='feedback loop: state cycles through "
+      "'Delay''";
+  const std::map<std::string, std::pair<std::string, std::string>> Want = {
+      {"FIR", {"shardable washout=255 0.1:0+1/1%16",
+               "shardable washout=2 0.1:0+1/1%16"}},
+      {"RateConvert", {"shardable washout=50 0.0:0+1/1%0",
+                       "shardable washout=2 0.0:0+1/1%0"}},
+      {"TargetDetect", {"shardable washout=299 0.1:0+1/1%3000",
+                        "shardable washout=2 0.1:0+1/1%3000"}},
+      {"FMRadio", {"shardable washout=76 0.0:0+1/1%0",
+                   "shardable washout=4 0.0:0+1/1%0"}},
+      {"Radar", {"shardable washout=26" + Radar12,
+                 "shardable washout=26" + RadarSel12}},
+      {"FilterBank", {"shardable washout=99 0.1:0+1/1%100",
+                      "shardable washout=2 0.1:0+1/1%100"}},
+      {"Vocoder", {"shardable washout=6 0.1:0+1/1%11",
+                   "shardable washout=4 0.1:0+1/1%11"}},
+      {"Oversampler", {"shardable washout=60 0.1:0+1/1%100",
+                       "shardable washout=2 0.1:0+1/1%100"}},
+      {"DToA", {DToA, DToA}},
+  };
+  for (const BenchmarkEntry &B : allBenchmarks()) {
+    auto It = Want.find(B.Name);
+    ASSERT_NE(It, Want.end()) << B.Name;
+    StreamPtr Root = B.Build();
+    EXPECT_EQ(renderShardInfo(makeProgram(*Root)->shardInfo()),
+              It->second.first)
+        << B.Name;
+    PipelineOptions PO;
+    PO.Mode = OptMode::AutoSel;
+    PO.Exec.Eng = Engine::Compiled;
+    PO.UseProgramCache = false;
+    CompileResult Sel = CompilerPipeline(PO).tryCompile(*Root).orDie();
+    EXPECT_EQ(renderShardInfo(Sel.Program->shardInfo()), It->second.second)
+        << B.Name << " under AutoSel";
+  }
 }
 
 } // namespace

@@ -636,8 +636,9 @@ TEST(ServiceServer, MalformedFrameGetsErrorReplyThenDisconnect) {
   ASSERT_TRUE(readFrame(Fd, Reply).isOk());
   Expected<Response> ER = decodeResponse(Reply);
   ASSERT_TRUE(ER.hasValue() || ER.status().code() == ErrorCode::Corrupt);
-  if (ER.hasValue())
+  if (ER.hasValue()) {
     EXPECT_EQ(ER.take().St.code(), ErrorCode::Corrupt);
+  }
 
   // The connection is gone afterwards...
   bool Closed = false;

@@ -2,8 +2,8 @@
 //
 // The WIR linter (src/verify/): the affine abstract executor, the three
 // analyses (verify-linear / verify-bounds / verify-state), the mutation
-// corpus — programmatically corrupted tapes and mislabeled state claims
-// that the linter must flag with precise findings — the clean benchmark
+// corpus — programmatically corrupted tapes and shard recipes that the
+// linter must flag with precise findings — the clean benchmark
 // suite (zero findings), the pipeline degradation path behind the
 // lint-verifier-trip fault point, and the artifact-store inventory hook
 // the lint-what-you-serve CI mode uses.
@@ -15,15 +15,16 @@
 #include "compiler/Pipeline.h"
 #include "compiler/Program.h"
 #include "compiler/StructuralHash.h"
+#include "linear/AbstractExec.h"
 #include "linear/Extract.h"
 #include "support/FaultInjection.h"
 #include "support/Serialize.h"
-#include "verify/AbstractInterp.h"
 #include "verify/Lint.h"
 #include "wir/Build.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <unistd.h>
 
@@ -399,60 +400,134 @@ TEST(MutationCorpus, CorruptRegisterOperandIsStructurallyRejected) {
   EXPECT_GE(R.errorCount(), 1u);
 }
 
-TEST(MutationCorpus, MislabeledStateClassIsFlagged) {
-  // FIR's FloatSource advances a cursor modulo its table size: the tape
-  // proves kind=ModAffine, delta=1. Every mislabel must be rejected.
+TEST(MutationCorpus, ReadBeforeWriteIsStructurallyRejected) {
+  // FIR's source stores its cursor; point the store at a fresh register
+  // no instruction writes. At runtime that register would carry the
+  // previous firing's frame value, so the tape is malformed — and its
+  // state cannot be classified.
   StreamPtr Root = buildByName("FIR");
   ASSERT_NE(Root, nullptr);
   CompiledProgram P(*Root, CompiledOptions{});
   int I = findFilter(P, "Source");
   ASSERT_GE(I, 0);
   const flat::Node &N = P.graph().Nodes[static_cast<size_t>(I)];
-  const wir::OpProgram &Tape = P.filterArtifact(static_cast<size_t>(I)).Work;
+  const wir::OpProgram &Clean = P.filterArtifact(static_cast<size_t>(I)).Work;
+  ASSERT_TRUE(classifySteadyState(Clean, N.F->fields()).Reconstructable);
+  int Pc = findOp(Clean, wir::Op::StoreFld);
+  ASSERT_GE(Pc, 0);
 
-  wir::SteadyStateInfo Claims = Tape.analyzeSteadyState(N.F->fields());
-  ASSERT_TRUE(Claims.Reconstructable);
-  ASSERT_EQ(Claims.Updates.size(), 1u);
-  ASSERT_EQ(Claims.Updates[0].Kind,
-            wir::SteadyStateInfo::FieldKind::ModAffine);
+  std::vector<uint8_t> Bytes = tapeBytes(Clean);
+  // The frame trailer ends NumRegs, ArrStoreSize, PeekRate, PopRate,
+  // PushRate: grow the frame by one register and store from it.
+  patchI32(Bytes, Bytes.size() - 20, Clean.numRegs() + 1);
+  patchI32(Bytes, instOffset(static_cast<size_t>(Pc), 2), Clean.numRegs());
+  bool Ok = false;
+  wir::OpProgram Bad = reload(Bytes, Ok);
+  ASSERT_TRUE(Ok);
+
+  std::vector<TapeFault> Faults;
+  EXPECT_FALSE(checkWellFormed(Bad, N.F->fields(), Faults));
+  ASSERT_FALSE(Faults.empty());
+  EXPECT_EQ(Faults.front().Pc, Pc);
+  EXPECT_NE(Faults.front().Msg.find("read before any write"),
+            std::string::npos)
+      << Faults.front().Msg;
+
+  SteadyStateInfo Class = classifySteadyState(Bad, N.F->fields());
+  EXPECT_FALSE(Class.Reconstructable);
+  EXPECT_NE(Class.Reason.find("read before any write"), std::string::npos)
+      << Class.Reason;
+}
+
+TEST(MutationCorpus, MislabeledStateClassIsFlagged) {
+  // FIR's source advances a cursor modulo its 16-entry table; the
+  // program's ShardInfo seeds it. The seed is the last 40 bytes of the
+  // serialized program (node, field, base, first step, steady step,
+  // modulus), after its u32 count. Each corrupted recipe, loaded back,
+  // must fail verify-state; the faithful one must audit clean.
+  StreamPtr Root = buildByName("FIR");
+  ASSERT_NE(Root, nullptr);
+  CompiledProgram P(*Root, CompiledOptions{});
+  ASSERT_TRUE(P.shardInfo().Shardable) << P.shardInfo().Reason;
+  ASSERT_EQ(P.shardInfo().Seeds.size(), 1u);
+  const CompiledProgram::ShardInfo::FieldSeed Seed = P.shardInfo().Seeds[0];
+  ASSERT_EQ(Seed.Modulus, 16.0);
+  serial::Writer W;
+  ASSERT_TRUE(serializeProgram(W, P));
+  const std::vector<uint8_t> Clean = W.bytes();
+
+  auto PatchF64 = [](std::vector<uint8_t> &B, size_t FromEnd, double V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof(Bits));
+    for (size_t I = 0; I != 8; ++I)
+      B[B.size() - FromEnd + I] = static_cast<uint8_t>(Bits >> (8 * I));
+  };
+  auto Audit = [](const std::vector<uint8_t> &Bytes) {
+    serial::Reader Rd(Bytes);
+    std::shared_ptr<const CompiledProgram> Loaded = deserializeProgram(Rd);
+    LintReport R;
+    if (!Loaded) {
+      R.error("load", "FIR", -1, "mutated program failed to load");
+      return R;
+    }
+    verifyState(*Loaded, R);
+    return R;
+  };
 
   {
-    LintReport R; // the true claims audit clean
-    lintStateClaims(Tape, N.F->fields(), Claims, N.Name, R);
+    LintReport R = Audit(Clean);
     EXPECT_EQ(R.errorCount(), 0u) << R.text();
   }
   {
-    wir::SteadyStateInfo Bad = Claims; // drop the modulus
-    Bad.Updates[0].Kind = wir::SteadyStateInfo::FieldKind::Affine;
-    Bad.Updates[0].Mod = 0.0;
-    LintReport R;
-    lintStateClaims(Tape, N.F->fields(), Bad, N.Name, R);
-    EXPECT_GE(R.errorCount(), 1u);
-    EXPECT_TRUE(hasErrorContaining(R, "tape computes")) << R.text();
+    std::vector<uint8_t> B = Clean; // wrong stride
+    PatchF64(B, 16, Seed.DeltaRest + 1.0);
+    LintReport R = Audit(B);
+    EXPECT_TRUE(hasErrorContaining(R, "disagrees with the tape's state"))
+        << R.text();
   }
   {
-    wir::SteadyStateInfo Bad = Claims; // wrong stride
-    Bad.Updates[0].Delta += 1.0;
-    LintReport R;
-    lintStateClaims(Tape, N.F->fields(), Bad, N.Name, R);
-    EXPECT_GE(R.errorCount(), 1u) << R.text();
+    std::vector<uint8_t> B = Clean; // modulus dropped
+    PatchF64(B, 8, 0.0);
+    LintReport R = Audit(B);
+    EXPECT_TRUE(hasErrorContaining(R, "disagrees with the tape's state"))
+        << R.text();
   }
   {
-    wir::SteadyStateInfo Bad = Claims; // wrong modulus
-    Bad.Updates[0].Mod *= 2.0;
-    LintReport R;
-    lintStateClaims(Tape, N.F->fields(), Bad, N.Name, R);
-    EXPECT_GE(R.errorCount(), 1u) << R.text();
+    std::vector<uint8_t> B = Clean; // modulus doubled
+    PatchF64(B, 8, Seed.Modulus * 2.0);
+    LintReport R = Audit(B);
+    EXPECT_TRUE(hasErrorContaining(R, "disagrees with the tape's state"))
+        << R.text();
   }
   {
-    wir::SteadyStateInfo Bad = Claims; // "no prior-firing state" lie
-    Bad.Updates[0].Kind =
-        wir::SteadyStateInfo::FieldKind::InputDetermined;
-    LintReport R;
-    lintStateClaims(Tape, N.F->fields(), Bad, N.Name, R);
-    EXPECT_GE(R.errorCount(), 1u);
-    EXPECT_TRUE(hasErrorContaining(R, "prior-firing state")) << R.text();
+    std::vector<uint8_t> B = Clean; // the cursor's seed removed
+    B.resize(B.size() - 40);
+    patchI32(B, B.size() - 4, 0);
+    LintReport R = Audit(B);
+    EXPECT_TRUE(hasErrorContaining(R, "diverges from the sequential run"))
+        << R.text();
   }
+}
+
+TEST(VerifyState, ExternallyFedShardRecipeAuditsClean) {
+  // No source: the audit feeds zeros to the external input on both
+  // sides, enough for the peek window, the washout and the batch.
+  using namespace wir::build;
+  auto Root = std::make_unique<Pipeline>("ext");
+  std::vector<wir::FieldDef> Fields = {
+      wir::FieldDef::mutableScalar("last", 0.5),
+      wir::FieldDef::mutableScalar("n", 0)};
+  Root->add(std::make_unique<Filter>(
+      "DelayCount", std::move(Fields),
+      wir::WorkFunction(3, 1, 1,
+                        stmts(push(add(fld("last"), add(peek(2), fld("n")))),
+                              fldAssign("last", pop()),
+                              fldAssign("n", add(fld("n"), cst(1)))))));
+  CompiledProgram P(*Root, CompiledOptions{});
+  ASSERT_TRUE(P.shardInfo().Shardable) << P.shardInfo().Reason;
+  ASSERT_GE(P.shardInfo().WashoutIterations, 1);
+  LintReport R;
+  EXPECT_EQ(verifyState(P, R), "") << R.text();
 }
 
 //===----------------------------------------------------------------------===//
