@@ -3,9 +3,9 @@
 /// \file
 /// The client half of the service protocol: a move-only connection
 /// wrapper with one blocking method per request kind. Used by the
-/// slin-service-client tool, the load-generating bench_service harness
-/// and the service tests; anything that can open a socket and speak
-/// the frame format (service/Protocol.h) interoperates.
+/// slin-service-client tool, perfbench's serve workload (the load
+/// generator) and the service tests; anything that can open a socket
+/// and speak the frame format (service/Protocol.h) interoperates.
 ///
 /// Every method is strict about the reply: a response whose kind does
 /// not echo the request, or whose payload fails the bounds-checked

@@ -31,20 +31,16 @@ bool envFlag(const char *Name) {
   return V && *V;
 }
 
-/// Numeric knobs: sets \p Field only from a whole non-negative decimal
-/// integer that fits it. Anything else — empty, signed, suffixed ("10M",
-/// "1h", "5s"), out of range — counts as unset, rather than as whatever
-/// number a prefix parse would salvage.
+/// Numeric knobs: sets \p Field only from a value `parseCount` accepts
+/// within \p Field's range; anything else counts as unset, rather than as
+/// whatever number a prefix parse would salvage.
 template <class T> void envCount(const char *Name, T &Field) {
   const char *V = std::getenv(Name);
   if (!V)
     return;
-  const char *End = V + std::strlen(V);
-  uint64_t N = 0;
-  auto [Ptr, Ec] = std::from_chars(V, End, N);
-  if (Ec == std::errc() && Ptr == End &&
-      N <= static_cast<uint64_t>(std::numeric_limits<T>::max()))
-    Field = static_cast<T>(N);
+  if (std::optional<uint64_t> N = parseCount(
+          V, static_cast<uint64_t>(std::numeric_limits<T>::max())))
+    Field = static_cast<T>(*N);
 }
 
 struct GlobalConfig {
@@ -59,6 +55,15 @@ GlobalConfig &globalConfig() {
 }
 
 } // namespace
+
+std::optional<uint64_t> slin::parseCount(const char *S, uint64_t Max) {
+  const char *End = S + std::strlen(S);
+  uint64_t N = 0;
+  auto [Ptr, Ec] = std::from_chars(S, End, N);
+  if (Ec != std::errc() || Ptr != End || N > Max)
+    return std::nullopt;
+  return N;
+}
 
 RuntimeConfig RuntimeConfig::fromEnv() {
   RuntimeConfig C;

@@ -97,6 +97,12 @@ struct RuntimeConfig {
   RuntimeConfig withOverrides(const Overrides &O) const;
 };
 
+/// The one rule for numeric settings, shared by the numeric `SLIN_*`
+/// knobs and the service CLIs' numeric flags: \p S must be a whole
+/// non-negative decimal integer no larger than \p Max. Anything else —
+/// empty, signed, suffixed ("10M", "5s"), out of range — yields nullopt.
+std::optional<uint64_t> parseCount(const char *S, uint64_t Max);
+
 } // namespace slin
 
 #endif // SLIN_SUPPORT_RUNTIMECONFIG_H

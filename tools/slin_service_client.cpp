@@ -14,11 +14,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Client.h"
+#include "support/RuntimeConfig.h"
 #include "support/StatsRegistry.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 using namespace slin;
@@ -71,16 +74,29 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto Count = [&](uint64_t Max) -> uint64_t {
+      const char *V = Value();
+      std::optional<uint64_t> N = parseCount(V, Max);
+      if (!N) {
+        std::fprintf(stderr,
+                     "slin-service-client: %s needs a whole number from 0 to "
+                     "%llu, got '%s'\n",
+                     Arg.c_str(), static_cast<unsigned long long>(Max), V);
+        std::exit(2);
+      }
+      return *N;
+    };
     if (Arg == "--unix")
       UnixPath = Value();
     else if (Arg == "--tcp")
-      TcpPort = std::atoi(Value());
+      TcpPort = static_cast<int>(Count(65535));
     else if (Arg == "--json")
       Json = true;
     else if (Arg == "--graph")
       Run.Graph = Value();
     else if (Arg == "-n" || Arg == "--outputs")
-      Run.NOutputs = static_cast<uint32_t>(std::atol(Value()));
+      Run.NOutputs =
+          static_cast<uint32_t>(Count(std::numeric_limits<uint32_t>::max()));
     else if (Arg == "--engine") {
       std::string E = Value();
       if (!parseEngine(E, Run.Eng)) {
@@ -91,7 +107,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--latency")
       Run.Latency = true;
     else if (Arg == "--deadline-ms")
-      Run.DeadlineMillis = std::atol(Value());
+      Run.DeadlineMillis =
+          static_cast<int64_t>(Count(std::numeric_limits<int64_t>::max()));
     else if (Arg == "--count-ops")
       Run.CountOps = true;
     else if (Arg == "--help" || Arg == "-h") {

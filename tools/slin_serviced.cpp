@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,10 +102,22 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto Count = [&](uint64_t Max) -> uint64_t {
+      const char *V = Value();
+      std::optional<uint64_t> N = parseCount(V, Max);
+      if (!N) {
+        std::fprintf(stderr,
+                     "slin-serviced: %s needs a whole number from 0 to %llu, "
+                     "got '%s'\n",
+                     Arg.c_str(), static_cast<unsigned long long>(Max), V);
+        std::exit(2);
+      }
+      return *N;
+    };
     if (Arg == "--unix")
       Cfg.UnixPath = Value();
     else if (Arg == "--tcp")
-      Cfg.TcpPort = std::atoi(Value());
+      Cfg.TcpPort = static_cast<int>(Count(65535));
     else if (Arg == "--graphs")
       Cfg.Service.Graphs = splitCommas(Value());
     else if (Arg == "--mode") {
@@ -113,13 +127,17 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--workers")
-      Cfg.Service.Workers = std::atoi(Value());
+      Cfg.Service.Workers =
+          static_cast<int>(Count(std::numeric_limits<int>::max()));
     else if (Arg == "--queue")
-      Cfg.Service.MaxQueueDepth = static_cast<size_t>(std::atol(Value()));
+      Cfg.Service.MaxQueueDepth =
+          static_cast<size_t>(Count(std::numeric_limits<size_t>::max()));
     else if (Arg == "--deadline-ms")
-      Cfg.Service.DefaultDeadlineMillis = std::atol(Value());
+      Cfg.Service.DefaultDeadlineMillis =
+          static_cast<int64_t>(Count(std::numeric_limits<int64_t>::max()));
     else if (Arg == "--outputs")
-      Cfg.Service.DefaultOutputs = static_cast<uint32_t>(std::atol(Value()));
+      Cfg.Service.DefaultOutputs =
+          static_cast<uint32_t>(Count(std::numeric_limits<uint32_t>::max()));
     else if (Arg == "--no-prefetch")
       Cfg.Service.Prefetch = false;
     else if (Arg == "--require-warm")
