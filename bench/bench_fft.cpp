@@ -46,8 +46,9 @@ void BM_PlannedRealFFT(benchmark::State &State) {
   FFTPlan Plan(N);
   auto In = randomReal(N);
   std::vector<double> Out(N);
+  std::vector<Complex> Scratch(Plan.scratchSize());
   for ([[maybe_unused]] auto _ : State) {
-    Plan.forwardReal(In.data(), Out.data());
+    Plan.forwardReal(In.data(), Out.data(), Scratch.data());
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetItemsProcessed(State.iterations() * N);

@@ -15,24 +15,28 @@ namespace {
 
 constexpr double Pi = 3.14159265358979323846;
 
-// Counted complex arithmetic. std::complex operators are not used in the
-// transform kernels so that every real floating-point operation is
-// accounted for individually (4 muls + 2 adds per complex multiply).
-Complex cadd(Complex A, Complex B) {
-  return Complex(ops::add(A.real(), B.real()), ops::add(A.imag(), B.imag()));
+// Complex arithmetic on the ops:: helpers. std::complex operators are not
+// used in the transform kernels: every real floating-point operation is
+// accounted for individually (4 muls + 2 adds per complex multiply), and
+// the counted and uncounted instantiations evaluate the very same
+// expressions, so they round identically.
+template <bool C> Complex cadd(Complex A, Complex B) {
+  return Complex(ops::add<C>(A.real(), B.real()),
+                 ops::add<C>(A.imag(), B.imag()));
 }
-Complex csub(Complex A, Complex B) {
-  return Complex(ops::sub(A.real(), B.real()), ops::sub(A.imag(), B.imag()));
+template <bool C> Complex csub(Complex A, Complex B) {
+  return Complex(ops::sub<C>(A.real(), B.real()),
+                 ops::sub<C>(A.imag(), B.imag()));
 }
-Complex cmul(Complex A, Complex B) {
-  double Re = ops::sub(ops::mul(A.real(), B.real()),
-                       ops::mul(A.imag(), B.imag()));
-  double Im = ops::add(ops::mul(A.real(), B.imag()),
-                       ops::mul(A.imag(), B.real()));
+template <bool C> Complex cmul(Complex A, Complex B) {
+  double Re = ops::sub<C>(ops::mul<C>(A.real(), B.real()),
+                          ops::mul<C>(A.imag(), B.imag()));
+  double Im = ops::add<C>(ops::mul<C>(A.real(), B.imag()),
+                          ops::mul<C>(A.imag(), B.real()));
   return Complex(Re, Im);
 }
-Complex cscale(Complex A, double S) {
-  return Complex(ops::mul(A.real(), S), ops::mul(A.imag(), S));
+template <bool C> Complex cscale(Complex A, double S) {
+  return Complex(ops::mul<C>(A.real(), S), ops::mul<C>(A.imag(), S));
 }
 
 } // namespace
@@ -67,16 +71,16 @@ FFTPlan::FFTPlan(size_t N) : N(N) {
     Twiddles[K] = Complex(std::cos(Ang), std::sin(Ang));
   }
   if (N >= 2) {
-    HalfPlan = std::make_unique<FFTPlan>(N / 2);
-    RealTwiddles.resize(N / 2 + 1);
-    for (size_t K = 0; K <= N / 2; ++K) {
-      double Ang = -2.0 * Pi * static_cast<double>(K) / static_cast<double>(N);
-      RealTwiddles[K] = Complex(std::cos(Ang), std::sin(Ang));
-    }
-    Scratch.resize(N / 2);
+    HalfPlan = std::make_unique<const FFTPlan>(N / 2);
+    // The real path's untangling folds its halvings into the twiddle;
+    // scaling by 0.5 is exact, so this matches computing it per use.
+    HalfTwiddles.resize(N / 2);
+    for (size_t K = 0; K != N / 2; ++K)
+      HalfTwiddles[K] = 0.5 * Twiddles[K];
   }
 }
 
+template <bool Counted>
 void FFTPlan::transform(Complex *Data, bool Inverse) const {
   // Bit-reversal permutation.
   for (size_t I = 0; I != N; ++I)
@@ -90,83 +94,114 @@ void FFTPlan::transform(Complex *Data, bool Inverse) const {
       // j == 0: twiddle is 1, no multiply needed.
       {
         Complex T = Data[Base + Half];
-        Data[Base + Half] = csub(Data[Base], T);
-        Data[Base] = cadd(Data[Base], T);
+        Data[Base + Half] = csub<Counted>(Data[Base], T);
+        Data[Base] = cadd<Counted>(Data[Base], T);
       }
       for (size_t J = 1; J != Half; ++J) {
         Complex T;
         if (J * 4 == Len) {
           // W = -i (forward) or +i (inverse): a swap and a sign change.
           Complex D = Data[Base + J + Half];
-          T = Inverse ? Complex(ops::sub(0.0, D.imag()), D.real())
-                      : Complex(D.imag(), ops::sub(0.0, D.real()));
+          T = Inverse ? Complex(ops::sub<Counted>(0.0, D.imag()), D.real())
+                      : Complex(D.imag(), ops::sub<Counted>(0.0, D.real()));
         } else {
           Complex W = Twiddles[J * Step];
           if (Inverse)
             W = std::conj(W);
-          T = cmul(W, Data[Base + J + Half]);
+          T = cmul<Counted>(W, Data[Base + J + Half]);
         }
-        Data[Base + J + Half] = csub(Data[Base + J], T);
-        Data[Base + J] = cadd(Data[Base + J], T);
+        Data[Base + J + Half] = csub<Counted>(Data[Base + J], T);
+        Data[Base + J] = cadd<Counted>(Data[Base + J], T);
       }
     }
   }
-}
-
-void FFTPlan::forward(Complex *Data) const { transform(Data, false); }
-
-void FFTPlan::inverse(Complex *Data) const {
-  transform(Data, true);
+  if (!Inverse)
+    return;
   double Scale = 1.0 / static_cast<double>(N);
   for (size_t I = 0; I != N; ++I)
-    Data[I] = cscale(Data[I], Scale);
+    Data[I] = cscale<Counted>(Data[I], Scale);
 }
 
-void FFTPlan::forwardReal(const double *In, double *Out) const {
+void FFTPlan::forward(Complex *Data) const {
+#if SLIN_COUNT_OPS
+  if (ops::isCounting()) {
+    transform<true>(Data, false);
+    return;
+  }
+#endif
+  transform<false>(Data, false);
+}
+
+void FFTPlan::inverse(Complex *Data) const {
+#if SLIN_COUNT_OPS
+  if (ops::isCounting()) {
+    transform<true>(Data, true);
+    return;
+  }
+#endif
+  transform<false>(Data, true);
+}
+
+template <bool Counted>
+void FFTPlan::forwardReal(const double *In, double *Out,
+                          Complex *Scratch) const {
   if (N == 1) {
     Out[0] = In[0];
     return;
   }
   if (N == 2) {
-    Out[0] = ops::add(In[0], In[1]);
-    Out[1] = ops::sub(In[0], In[1]);
+    Out[0] = ops::add<Counted>(In[0], In[1]);
+    Out[1] = ops::sub<Counted>(In[0], In[1]);
     return;
   }
   size_t H = N / 2;
   for (size_t I = 0; I != H; ++I)
     Scratch[I] = Complex(In[2 * I], In[2 * I + 1]);
-  HalfPlan->forward(Scratch.data());
+  HalfPlan->transform<Counted>(Scratch, false);
 
   // Untangle: X[k] = E[k] + W^k O[k] with
   //   E[k] = (Z[k] + conj(Z[H-k])) / 2,  O[k] = -i (Z[k] - conj(Z[H-k])) / 2.
   {
     double Re0 = Scratch[0].real(), Im0 = Scratch[0].imag();
-    Out[0] = ops::add(Re0, Im0);   // X[0]
-    Out[H] = ops::sub(Re0, Im0);   // X[N/2]
+    Out[0] = ops::add<Counted>(Re0, Im0); // X[0]
+    Out[H] = ops::sub<Counted>(Re0, Im0); // X[N/2]
   }
   for (size_t K = 1; K != H; ++K) {
     // X[k] = (Z[k]+conj(Z[H-k]))/2 + W^k * (-i)(Z[k]-conj(Z[H-k]))/2;
     // the halvings are folded into a 0.5*W^k twiddle and one 0.5 scale.
     Complex Zk = Scratch[K];
     Complex Zm = std::conj(Scratch[H - K]);
-    Complex A = cadd(Zk, Zm);
-    Complex D = csub(Zk, Zm);
+    Complex A = cadd<Counted>(Zk, Zm);
+    Complex D = csub<Counted>(Zk, Zm);
     Complex O = Complex(D.imag(), -D.real()); // -i * D, free
-    Complex HalfW = 0.5 * RealTwiddles[K];    // precomputed-style constant
-    Complex X = cadd(cscale(A, 0.5), cmul(HalfW, O));
+    Complex X = cadd<Counted>(cscale<Counted>(A, 0.5),
+                              cmul<Counted>(HalfTwiddles[K], O));
     Out[K] = X.real();
     Out[N - K] = X.imag();
   }
 }
 
-void FFTPlan::inverseReal(const double *In, double *Out) const {
+void FFTPlan::forwardReal(const double *In, double *Out,
+                          Complex *Scratch) const {
+#if SLIN_COUNT_OPS
+  if (ops::isCounting()) {
+    forwardReal<true>(In, Out, Scratch);
+    return;
+  }
+#endif
+  forwardReal<false>(In, Out, Scratch);
+}
+
+template <bool Counted>
+void FFTPlan::inverseReal(const double *In, double *Out,
+                          Complex *Scratch) const {
   if (N == 1) {
     Out[0] = In[0];
     return;
   }
   if (N == 2) {
-    Out[0] = ops::mul(ops::add(In[0], In[1]), 0.5);
-    Out[1] = ops::mul(ops::sub(In[0], In[1]), 0.5);
+    Out[0] = ops::mul<Counted>(ops::add<Counted>(In[0], In[1]), 0.5);
+    Out[1] = ops::mul<Counted>(ops::sub<Counted>(In[0], In[1]), 0.5);
     return;
   }
   size_t H = N / 2;
@@ -176,39 +211,75 @@ void FFTPlan::inverseReal(const double *In, double *Out) const {
     // X[H-K]; for K == 0 this is the purely real Nyquist bin X[N/2].
     size_t M = H - K;
     Complex Xm = M == H ? Complex(In[H], 0.0) : Complex(In[M], In[N - M]);
-    Complex A = cadd(Xk, std::conj(Xm));
-    Complex D = csub(Xk, std::conj(Xm));
+    Complex A = cadd<Counted>(Xk, std::conj(Xm));
+    Complex D = csub<Counted>(Xk, std::conj(Xm));
     // O = e^{+2pi i k/N} * D / 2, with the halving folded into the twiddle.
-    Complex O = cmul(0.5 * std::conj(RealTwiddles[K]), D);
+    Complex O = cmul<Counted>(std::conj(HalfTwiddles[K]), D);
     // Z = A/2 + i*O.
-    Complex HalfA = cscale(A, 0.5);
-    Scratch[K] = Complex(ops::sub(HalfA.real(), O.imag()),
-                         ops::add(HalfA.imag(), O.real()));
+    Complex HalfA = cscale<Counted>(A, 0.5);
+    Scratch[K] = Complex(ops::sub<Counted>(HalfA.real(), O.imag()),
+                         ops::add<Counted>(HalfA.imag(), O.real()));
   }
-  HalfPlan->inverse(Scratch.data());
+  HalfPlan->transform<Counted>(Scratch, true);
   for (size_t I = 0; I != H; ++I) {
     Out[2 * I] = Scratch[I].real();
     Out[2 * I + 1] = Scratch[I].imag();
   }
 }
 
+void FFTPlan::inverseReal(const double *In, double *Out,
+                          Complex *Scratch) const {
+#if SLIN_COUNT_OPS
+  if (ops::isCounting()) {
+    inverseReal<true>(In, Out, Scratch);
+    return;
+  }
+#endif
+  inverseReal<false>(In, Out, Scratch);
+}
+
+template <bool Counted>
 void fft::multiplyHalfComplex(size_t N, const double *A, const double *B,
                               double *Out) {
   assert(isPowerOfTwo(N) && "half-complex size must be a power of two");
   if (N == 1) {
-    Out[0] = ops::mul(A[0], B[0]);
+    Out[0] = ops::mul<Counted>(A[0], B[0]);
     return;
   }
-  Out[0] = ops::mul(A[0], B[0]);
-  Out[N / 2] = ops::mul(A[N / 2], B[N / 2]);
+  Out[0] = ops::mul<Counted>(A[0], B[0]);
+  Out[N / 2] = ops::mul<Counted>(A[N / 2], B[N / 2]);
   for (size_t K = 1; K != N / 2; ++K) {
     Complex X(A[K], A[N - K]);
     Complex H(B[K], B[N - K]);
-    Complex Y = cmul(X, H);
+    Complex Y = cmul<Counted>(X, H);
     Out[K] = Y.real();
     Out[N - K] = Y.imag();
   }
 }
+
+void fft::multiplyHalfComplex(size_t N, const double *A, const double *B,
+                              double *Out) {
+#if SLIN_COUNT_OPS
+  if (ops::isCounting()) {
+    multiplyHalfComplex<true>(N, A, B, Out);
+    return;
+  }
+#endif
+  multiplyHalfComplex<false>(N, A, B, Out);
+}
+
+template void FFTPlan::forwardReal<true>(const double *, double *,
+                                         Complex *) const;
+template void FFTPlan::forwardReal<false>(const double *, double *,
+                                          Complex *) const;
+template void FFTPlan::inverseReal<true>(const double *, double *,
+                                         Complex *) const;
+template void FFTPlan::inverseReal<false>(const double *, double *,
+                                          Complex *) const;
+template void fft::multiplyHalfComplex<true>(size_t, const double *,
+                                             const double *, double *);
+template void fft::multiplyHalfComplex<false>(size_t, const double *,
+                                              const double *, double *);
 
 namespace {
 
@@ -227,9 +298,9 @@ void simpleFFTRec(std::vector<Complex> &Data, bool Inverse) {
   for (size_t K = 0; K != N / 2; ++K) {
     double Ang = Sign * static_cast<double>(K) / static_cast<double>(N);
     Complex W(std::cos(Ang), std::sin(Ang));
-    Complex T = cmul(W, Odd[K]);
-    Data[K] = cadd(Even[K], T);
-    Data[K + N / 2] = csub(Even[K], T);
+    Complex T = cmul<true>(W, Odd[K]);
+    Data[K] = cadd<true>(Even[K], T);
+    Data[K + N / 2] = csub<true>(Even[K], T);
   }
 }
 
@@ -242,7 +313,7 @@ void fft::simpleFFT(std::vector<Complex> &Data, bool Inverse) {
   if (Inverse) {
     double Scale = 1.0 / static_cast<double>(Data.size());
     for (Complex &C : Data)
-      C = cscale(C, Scale);
+      C = cscale<true>(C, Scale);
   }
 }
 

@@ -14,19 +14,6 @@ using namespace slin;
 
 namespace {
 
-/// Counted/uncounted arithmetic, selected at compile time per kernel
-/// instantiation. The uncounted flavours are the ops-free fast path.
-template <bool Counted> inline double kfma(double Acc, double A, double B) {
-  if (Counted)
-    return ops::fma(Acc, A, B);
-  return Acc + A * B;
-}
-template <bool Counted> inline double kadd(double A, double B) {
-  if (Counted)
-    return ops::add(A, B);
-  return A + B;
-}
-
 /// Firings per cache block of the batched paths: windows of one block
 /// stay resident while every output column walks them.
 constexpr int BatchBlock = 32;
@@ -64,9 +51,9 @@ void PackedLinearKernel::bandedImpl(const double *In, double *Out) const {
     double Sum = 0.0;
     const double *Window = In + Col.First;
     for (size_t I = 0, N = Col.Coeffs.size(); I != N; ++I)
-      Sum = kfma<Counted>(Sum, Col.Coeffs[I], Window[I]);
+      Sum = ops::fma<Counted>(Sum, Col.Coeffs[I], Window[I]);
     if (Col.Offset != 0.0)
-      Sum = kadd<Counted>(Sum, Col.Offset);
+      Sum = ops::add<Counted>(Sum, Col.Offset);
     Out[J] = Sum;
   }
 }
@@ -116,16 +103,16 @@ void PackedLinearKernel::batchedImpl(const double *In, double *Out, int K,
         double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
         for (int I = 0; I != N; ++I) {
           double C = Coef[I];
-          S0 = kfma<Counted>(S0, C, W0[I]);
-          S1 = kfma<Counted>(S1, C, W1[I]);
-          S2 = kfma<Counted>(S2, C, W2[I]);
-          S3 = kfma<Counted>(S3, C, W3[I]);
+          S0 = ops::fma<Counted>(S0, C, W0[I]);
+          S1 = ops::fma<Counted>(S1, C, W1[I]);
+          S2 = ops::fma<Counted>(S2, C, W2[I]);
+          S3 = ops::fma<Counted>(S3, C, W3[I]);
         }
         if (Col.Offset != 0.0) {
-          S0 = kadd<Counted>(S0, Col.Offset);
-          S1 = kadd<Counted>(S1, Col.Offset);
-          S2 = kadd<Counted>(S2, Col.Offset);
-          S3 = kadd<Counted>(S3, Col.Offset);
+          S0 = ops::add<Counted>(S0, Col.Offset);
+          S1 = ops::add<Counted>(S1, Col.Offset);
+          S2 = ops::add<Counted>(S2, Col.Offset);
+          S3 = ops::add<Counted>(S3, Col.Offset);
         }
         Out[static_cast<size_t>(G + 0) * U + J] = S0;
         Out[static_cast<size_t>(G + 1) * U + J] = S1;
@@ -137,9 +124,9 @@ void PackedLinearKernel::batchedImpl(const double *In, double *Out, int K,
         const double *W = Base + static_cast<size_t>(G) * PopStride;
         double Sum = 0.0;
         for (int I = 0; I != N; ++I)
-          Sum = kfma<Counted>(Sum, Coef[I], W[I]);
+          Sum = ops::fma<Counted>(Sum, Coef[I], W[I]);
         if (Col.Offset != 0.0)
-          Sum = kadd<Counted>(Sum, Col.Offset);
+          Sum = ops::add<Counted>(Sum, Col.Offset);
         Out[static_cast<size_t>(G) * U + J] = Sum;
       }
     }
@@ -279,16 +266,17 @@ void TunedGemv::applyImpl(const double *In, double *Out) const {
     double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
     int P = 0;
     for (; P + 4 <= E; P += 4) {
-      S0 = kfma<Counted>(S0, Row[P + 0], Staging[P + 0]);
-      S1 = kfma<Counted>(S1, Row[P + 1], Staging[P + 1]);
-      S2 = kfma<Counted>(S2, Row[P + 2], Staging[P + 2]);
-      S3 = kfma<Counted>(S3, Row[P + 3], Staging[P + 3]);
+      S0 = ops::fma<Counted>(S0, Row[P + 0], Staging[P + 0]);
+      S1 = ops::fma<Counted>(S1, Row[P + 1], Staging[P + 1]);
+      S2 = ops::fma<Counted>(S2, Row[P + 2], Staging[P + 2]);
+      S3 = ops::fma<Counted>(S3, Row[P + 3], Staging[P + 3]);
     }
     for (; P != E; ++P)
-      S0 = kfma<Counted>(S0, Row[P], Staging[P]);
-    double Sum = kadd<Counted>(kadd<Counted>(S0, S1), kadd<Counted>(S2, S3));
+      S0 = ops::fma<Counted>(S0, Row[P], Staging[P]);
+    double Sum = ops::add<Counted>(ops::add<Counted>(S0, S1),
+                                   ops::add<Counted>(S2, S3));
     if (Offsets[J] != 0.0)
-      Sum = kadd<Counted>(Sum, Offsets[J]);
+      Sum = ops::add<Counted>(Sum, Offsets[J]);
     Out[J] = Sum;
   }
 }
@@ -330,26 +318,28 @@ void TunedGemv::batchedImpl(const double *In, double *Out, int K,
         for (; P + 4 <= E; P += 4) {
           double C0 = Row[P + 0], C1 = Row[P + 1];
           double C2 = Row[P + 2], C3 = Row[P + 3];
-          A0 = kfma<Counted>(A0, C0, W0[P + 0]);
-          A1 = kfma<Counted>(A1, C1, W0[P + 1]);
-          A2 = kfma<Counted>(A2, C2, W0[P + 2]);
-          A3 = kfma<Counted>(A3, C3, W0[P + 3]);
-          B0 = kfma<Counted>(B0, C0, W1[P + 0]);
-          B1 = kfma<Counted>(B1, C1, W1[P + 1]);
-          B2 = kfma<Counted>(B2, C2, W1[P + 2]);
-          B3 = kfma<Counted>(B3, C3, W1[P + 3]);
+          A0 = ops::fma<Counted>(A0, C0, W0[P + 0]);
+          A1 = ops::fma<Counted>(A1, C1, W0[P + 1]);
+          A2 = ops::fma<Counted>(A2, C2, W0[P + 2]);
+          A3 = ops::fma<Counted>(A3, C3, W0[P + 3]);
+          B0 = ops::fma<Counted>(B0, C0, W1[P + 0]);
+          B1 = ops::fma<Counted>(B1, C1, W1[P + 1]);
+          B2 = ops::fma<Counted>(B2, C2, W1[P + 2]);
+          B3 = ops::fma<Counted>(B3, C3, W1[P + 3]);
         }
         for (; P != E; ++P) {
-          A0 = kfma<Counted>(A0, Row[P], W0[P]);
-          B0 = kfma<Counted>(B0, Row[P], W1[P]);
+          A0 = ops::fma<Counted>(A0, Row[P], W0[P]);
+          B0 = ops::fma<Counted>(B0, Row[P], W1[P]);
         }
         double Sum0 =
-            kadd<Counted>(kadd<Counted>(A0, A1), kadd<Counted>(A2, A3));
+            ops::add<Counted>(ops::add<Counted>(A0, A1),
+                              ops::add<Counted>(A2, A3));
         double Sum1 =
-            kadd<Counted>(kadd<Counted>(B0, B1), kadd<Counted>(B2, B3));
+            ops::add<Counted>(ops::add<Counted>(B0, B1),
+                              ops::add<Counted>(B2, B3));
         if (Offsets[J] != 0.0) {
-          Sum0 = kadd<Counted>(Sum0, Offsets[J]);
-          Sum1 = kadd<Counted>(Sum1, Offsets[J]);
+          Sum0 = ops::add<Counted>(Sum0, Offsets[J]);
+          Sum1 = ops::add<Counted>(Sum1, Offsets[J]);
         }
         Out[static_cast<size_t>(K0 + KI + 0) * U + J] = Sum0;
         Out[static_cast<size_t>(K0 + KI + 1) * U + J] = Sum1;
@@ -359,17 +349,18 @@ void TunedGemv::batchedImpl(const double *In, double *Out, int K,
         double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
         int P = 0;
         for (; P + 4 <= E; P += 4) {
-          S0 = kfma<Counted>(S0, Row[P + 0], W[P + 0]);
-          S1 = kfma<Counted>(S1, Row[P + 1], W[P + 1]);
-          S2 = kfma<Counted>(S2, Row[P + 2], W[P + 2]);
-          S3 = kfma<Counted>(S3, Row[P + 3], W[P + 3]);
+          S0 = ops::fma<Counted>(S0, Row[P + 0], W[P + 0]);
+          S1 = ops::fma<Counted>(S1, Row[P + 1], W[P + 1]);
+          S2 = ops::fma<Counted>(S2, Row[P + 2], W[P + 2]);
+          S3 = ops::fma<Counted>(S3, Row[P + 3], W[P + 3]);
         }
         for (; P != E; ++P)
-          S0 = kfma<Counted>(S0, Row[P], W[P]);
+          S0 = ops::fma<Counted>(S0, Row[P], W[P]);
         double Sum =
-            kadd<Counted>(kadd<Counted>(S0, S1), kadd<Counted>(S2, S3));
+            ops::add<Counted>(ops::add<Counted>(S0, S1),
+                              ops::add<Counted>(S2, S3));
         if (Offsets[J] != 0.0)
-          Sum = kadd<Counted>(Sum, Offsets[J]);
+          Sum = ops::add<Counted>(Sum, Offsets[J]);
         Out[static_cast<size_t>(K0 + KI) * U + J] = Sum;
       }
     }

@@ -25,10 +25,14 @@
 /// Per-firing accumulation order is identical to the sequential paths, so
 /// batched and per-firing execution produce bit-identical outputs.
 ///
-/// Every kernel selects between a counted loop (arithmetic routed through
-/// the op counters, for the paper's FLOP taxonomy tables) and an ops-free
-/// fast path, chosen at runtime by ops::isCounting() and reducible at
-/// compile time with SLIN_COUNT_OPS=0 (support/OpCounters.h).
+/// Every kernel except applyDense is a template on a `Counted` flag, built
+/// on ops::add/fma<Counted> (support/OpCounters.h): the counted
+/// instantiation routes arithmetic through the op counters, for the
+/// paper's FLOP taxonomy tables, and the uncounted one is the ops-free
+/// fast path. Each public entry point reads ops::isCounting() once per
+/// call to choose; with SLIN_COUNT_OPS=0 it never picks the counted one.
+/// applyDense, a model of the naive generated code that no engine calls,
+/// always counts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -21,6 +21,12 @@ namespace {
 
 /// The frequency-domain filter of Transformations 5 and 6. Operates with
 /// an implicit pop rate of one (a decimator downstream restores o > 1).
+///
+/// Every firing — per-item through a tape, or K at a time over flat
+/// channel memory — runs one core, fireWindow<Counted>, instantiated
+/// counted or uncounted once per call (support/OpCounters.h). The FFT
+/// plan is immutable and shared by every clone; the buffers are each
+/// instance's own.
 class FreqFilterNative : public NativeFilter {
 public:
   FreqFilterNative(const LinearNode &Node, const FrequencyOptions &Opts)
@@ -49,22 +55,21 @@ public:
     R = M + E - 1;
 
     Offsets = Node.naturalOffsets();
+    allocateBuffers();
 
     // Precompute the column spectra H_j from h_j[k] = A[k, u-1-j]
     // (compile-time work; not part of the runtime FLOP counts).
     ops::CountingScope Scope(false);
     std::vector<double> HTime(N, 0.0);
     if (Tier == FFTTier::PlannedReal) {
-      Plan = std::make_shared<FFTPlan>(N);
       HReal.resize(static_cast<size_t>(U), std::vector<double>(N));
       for (int J = 0; J != U; ++J) {
         std::fill(HTime.begin(), HTime.end(), 0.0);
         for (int K = 0; K != E; ++K)
           HTime[static_cast<size_t>(K)] = Node.coeff(E - 1 - K, J);
-        Plan->forwardReal(HTime.data(), HReal[static_cast<size_t>(J)].data());
+        Plan->forwardReal(HTime.data(), HReal[static_cast<size_t>(J)].data(),
+                          Scratch.data());
       }
-      XF.resize(N);
-      YF.resize(N);
     } else {
       HCplx.resize(static_cast<size_t>(U), std::vector<Complex>(N));
       for (int J = 0; J != U; ++J) {
@@ -74,15 +79,10 @@ public:
         simpleFFT(Col, false);
         HCplx[static_cast<size_t>(J)] = std::move(Col);
       }
-      XC.resize(N);
-      YC.resize(N);
     }
-    XBuf.resize(N);
-    YCols.resize(static_cast<size_t>(U), std::vector<double>(N));
-    Partials.assign(static_cast<size_t>(U) * std::max(E - 1, 0), 0.0);
   }
 
-  int peekRate() const override { return Optimized ? R : M + E - 1; }
+  int peekRate() const override { return R; }
   int popRate() const override { return Optimized ? R : M; }
   int pushRate() const override { return U * (Optimized ? R : M); }
 
@@ -92,52 +92,45 @@ public:
   int initPushRate() const override { return U * M; }
 
   void fire(wir::Tape &T) override {
-    computeColumns(T);
-    if (!Optimized) {
-      emitFull(T);
-      for (int I = 0; I != M; ++I)
-        T.pop();
-      return;
-    }
-    // Optimized steady firing: complete the previous block's partial sums
-    // first (outputs m..m+e-2 of the previous window), then emit the m
-    // full outputs, then consume the whole non-overlapping block.
-    for (int I = 0; I != E - 1; ++I) {
-      for (int J = 0; J != U; ++J) {
-        double &P = Partials[static_cast<size_t>(J) * (E - 1) + I];
-        T.push(ops::add(ops::add(YCols[static_cast<size_t>(J)]
-                                      [static_cast<size_t>(I)],
-                                 P),
-                        Offsets[static_cast<size_t>(J)]));
-        P = YCols[static_cast<size_t>(J)][static_cast<size_t>(M + E - 1 + I)];
-      }
-    }
-    emitFull(T);
-    for (int I = 0; I != R; ++I)
+    gatherWindow(T);
+    auto Push = [&T](double V) { T.push(V); };
+#if SLIN_COUNT_OPS
+    if (ops::isCounting())
+      fireWindow<true>(Window.data(), Push);
+    else
+#endif
+      fireWindow<false>(Window.data(), Push);
+    for (int I = 0, Pop = popRate(); I != Pop; ++I)
       T.pop();
   }
 
   void fireInit(wir::Tape &T) override {
     assert(Optimized && "init firing on a naive frequency filter");
-    computeColumns(T);
-    emitFull(T);
-    for (int I = 0; I != E - 1; ++I)
-      for (int J = 0; J != U; ++J)
-        Partials[static_cast<size_t>(J) * (E - 1) + I] =
-            YCols[static_cast<size_t>(J)][static_cast<size_t>(M + E - 1 + I)];
+    gatherWindow(T);
+    auto Push = [&T](double V) { T.push(V); };
+#if SLIN_COUNT_OPS
+    if (ops::isCounting())
+      initWindow<true>(Window.data(), Push);
+    else
+#endif
+      initWindow<false>(Window.data(), Push);
     for (int I = 0; I != R; ++I)
       T.pop();
   }
 
+  bool fireBatch(const double *In, double *Out, int K) override {
+#if SLIN_COUNT_OPS
+    if (ops::isCounting()) {
+      fireBatchImpl<true>(In, Out, K);
+      return true;
+    }
+#endif
+    fireBatchImpl<false>(In, Out, K);
+    return true;
+  }
+
   std::unique_ptr<NativeFilter> clone() const override {
-    auto C = std::make_unique<FreqFilterNative>(*this);
-    // The copy shares the FFT plan, whose real-path Scratch is mutable
-    // per-call state: clones run concurrently on the parallel backend's
-    // workers, so each gets a private plan (the twiddle tables are cheap
-    // to rebuild).
-    if (C->Plan)
-      C->Plan = std::make_shared<FFTPlan>(C->N);
-    return C;
+    return std::make_unique<FreqFilterNative>(*this);
   }
 
   const char *serialTag() const override { return "freq"; }
@@ -194,9 +187,6 @@ public:
         if (Col.size() != F->N)
           return nullptr;
       }
-      F->Plan = std::make_shared<FFTPlan>(F->N);
-      F->XF.resize(F->N);
-      F->YF.resize(F->N);
     } else {
       // The spectra must be backed by wire bytes (16 per complex entry)
       // before anything is allocated — a checksum-valid but malformed
@@ -212,15 +202,10 @@ public:
           double Im = R.f64();
           V = Complex(Re, Im);
         }
-      F->XC.resize(F->N);
-      F->YC.resize(F->N);
     }
-    F->XBuf.resize(F->N);
-    F->YCols.resize(static_cast<size_t>(F->U), std::vector<double>(F->N));
-    F->Partials.assign(
-        static_cast<size_t>(F->U) * std::max(F->E - 1, 0), 0.0);
     if (!R.ok())
       return nullptr;
+    F->allocateBuffers();
     return F;
   }
 
@@ -238,21 +223,90 @@ public:
 private:
   FreqFilterNative() = default; ///< deserialize target only
 
-  HashDigest Content;
-  /// Reads the input window, transforms it, and fills YCols[j] with the
+  /// Builds the plan and sizes the per-instance buffers from E, U, N, R
+  /// and Tier.
+  void allocateBuffers() {
+    const size_t UN = static_cast<size_t>(U);
+    if (Tier == FFTTier::PlannedReal) {
+      Plan = std::make_shared<const FFTPlan>(N);
+      XF.resize(N);
+      YF.resize(N);
+      Scratch.resize(Plan->scratchSize());
+    } else {
+      XC.resize(N);
+      YC.resize(N);
+    }
+    Window.resize(static_cast<size_t>(R));
+    XBuf.resize(N);
+    YCols.assign(UN, std::vector<double>(N));
+    Partials.assign(UN * static_cast<size_t>(std::max(E - 1, 0)), 0.0);
+  }
+
+  /// Copies the tape's peek window (R items, both forms) into Window.
+  void gatherWindow(wir::Tape &T) {
+    for (int I = 0; I != R; ++I)
+      Window[static_cast<size_t>(I)] = T.peek(I);
+  }
+
+  /// K steady firings under NativeFilter::fireBatch's memory contract.
+  template <bool Counted>
+  void fireBatchImpl(const double *In, double *Out, int K) {
+    const size_t Pop = static_cast<size_t>(popRate());
+    const size_t Push = static_cast<size_t>(pushRate());
+    for (size_t I = 0, KN = static_cast<size_t>(K); I != KN; ++I) {
+      double *O = Out + I * Push;
+      fireWindow<Counted>(In + I * Pop, [&O](double V) { *O++ = V; });
+    }
+  }
+
+  /// One steady firing over the peek window \p Win, handing its
+  /// pushRate() outputs in order to \p Push. The optimized form first
+  /// completes the previous block's partial sums (outputs m..m+e-2 of the
+  /// previous window), then emits the m full outputs.
+  template <bool Counted, typename PushFn>
+  void fireWindow(const double *Win, PushFn &&Push) {
+    computeColumns<Counted>(Win);
+    if (Optimized) {
+      for (int I = 0; I != E - 1; ++I) {
+        for (int J = 0; J != U; ++J) {
+          const std::vector<double> &Y = YCols[static_cast<size_t>(J)];
+          double &P = Partials[static_cast<size_t>(J) * (E - 1) + I];
+          Push(ops::add<Counted>(
+              ops::add<Counted>(Y[static_cast<size_t>(I)], P),
+              Offsets[static_cast<size_t>(J)]));
+          P = Y[static_cast<size_t>(M + E - 1 + I)];
+        }
+      }
+    }
+    emitFull<Counted>(Push);
+  }
+
+  /// The optimized form's first firing: the m full outputs, and the
+  /// partial sums the next firing completes.
+  template <bool Counted, typename PushFn>
+  void initWindow(const double *Win, PushFn &&Push) {
+    computeColumns<Counted>(Win);
+    emitFull<Counted>(Push);
+    for (int I = 0; I != E - 1; ++I)
+      for (int J = 0; J != U; ++J)
+        Partials[static_cast<size_t>(J) * (E - 1) + I] =
+            YCols[static_cast<size_t>(J)][static_cast<size_t>(M + E - 1 + I)];
+  }
+
+  /// Transforms the R-item window \p Win and fills YCols[j] with the
   /// circular convolution against column j.
-  void computeColumns(wir::Tape &T) {
-    int Window = M + E - 1;
-    for (int I = 0; I != Window; ++I)
-      XBuf[static_cast<size_t>(I)] = T.peek(I);
-    std::fill(XBuf.begin() + Window, XBuf.end(), 0.0);
+  template <bool Counted> void computeColumns(const double *Win) {
+    std::copy(Win, Win + R, XBuf.begin());
+    std::fill(XBuf.begin() + R, XBuf.end(), 0.0);
 
     if (Tier == FFTTier::PlannedReal) {
-      Plan->forwardReal(XBuf.data(), XF.data());
+      Plan->forwardReal<Counted>(XBuf.data(), XF.data(), Scratch.data());
       for (int J = 0; J != U; ++J) {
-        multiplyHalfComplex(N, XF.data(), HReal[static_cast<size_t>(J)].data(),
-                            YF.data());
-        Plan->inverseReal(YF.data(), YCols[static_cast<size_t>(J)].data());
+        multiplyHalfComplex<Counted>(
+            N, XF.data(), HReal[static_cast<size_t>(J)].data(), YF.data());
+        Plan->inverseReal<Counted>(YF.data(),
+                                   YCols[static_cast<size_t>(J)].data(),
+                                   Scratch.data());
       }
       return;
     }
@@ -262,11 +316,15 @@ private:
     for (int J = 0; J != U; ++J) {
       const auto &H = HCplx[static_cast<size_t>(J)];
       for (size_t I = 0; I != N; ++I) {
-        // Counted complex multiply (4 muls + 2 adds).
-        double Re = ops::sub(ops::mul(XC[I].real(), H[I].real()),
-                             ops::mul(XC[I].imag(), H[I].imag()));
-        double Im = ops::add(ops::mul(XC[I].real(), H[I].imag()),
-                             ops::mul(XC[I].imag(), H[I].real()));
+        // Complex multiply (4 muls + 2 adds).
+        double Re = ops::sub<Counted>(ops::mul<Counted>(XC[I].real(),
+                                                        H[I].real()),
+                                      ops::mul<Counted>(XC[I].imag(),
+                                                        H[I].imag()));
+        double Im = ops::add<Counted>(ops::mul<Counted>(XC[I].real(),
+                                                        H[I].imag()),
+                                      ops::mul<Counted>(XC[I].imag(),
+                                                        H[I].real()));
         YC[I] = Complex(Re, Im);
       }
       simpleFFT(YC, true);
@@ -275,15 +333,16 @@ private:
     }
   }
 
-  /// Pushes the m complete outputs y[i+e-1] + b.
-  void emitFull(wir::Tape &T) {
+  /// Hands the m complete outputs y[i+e-1] + b to \p Push.
+  template <bool Counted, typename PushFn> void emitFull(PushFn &Push) {
     for (int I = 0; I != M; ++I)
       for (int J = 0; J != U; ++J)
-        T.push(ops::add(
+        Push(ops::add<Counted>(
             YCols[static_cast<size_t>(J)][static_cast<size_t>(I + E - 1)],
             Offsets[static_cast<size_t>(J)]));
   }
 
+  HashDigest Content;
   int E;
   int U;
   bool Optimized;
@@ -292,10 +351,12 @@ private:
   int M;
   int R;
   Vector Offsets;
-  std::shared_ptr<FFTPlan> Plan;
+  std::shared_ptr<const FFTPlan> Plan; ///< shared by every clone
   std::vector<std::vector<double>> HReal;
   std::vector<std::vector<Complex>> HCplx;
+  std::vector<double> Window; ///< the tape path's gathered peek window
   std::vector<double> XBuf, XF, YF;
+  std::vector<Complex> Scratch; ///< the plan's real-path staging
   std::vector<Complex> XC, YC;
   std::vector<std::vector<double>> YCols;
   std::vector<double> Partials; ///< U x (E-1)

@@ -27,12 +27,18 @@
 
 /// Compile-time kill switch for the accounting layer (cmake
 /// -DSLIN_COUNT_OPS=OFF). When 0, the counted helpers below compile to
-/// raw arithmetic, isCounting() is constant-false, and the batched
-/// kernels / op-tape dispatch loops drop their counted paths entirely.
+/// raw arithmetic, isCounting() is constant-false, and the kernels' entry
+/// points never select their counted instantiations.
 /// The default build keeps accounting available; timing runs still avoid
-/// its cost at runtime because every hot loop selects an ops-free fast
-/// path whenever isCounting() is false (see wir/OpTape.cpp and
-/// matrix/Kernels.cpp).
+/// its cost at runtime. The runtime's hot loops — op tapes
+/// (wir/OpTape.cpp), matrix kernels (matrix/Kernels.cpp), the planned FFT
+/// (fft/FFT.cpp) and the frequency filter (opt/Frequency.cpp) — are
+/// templates on a counted flag (all but the op tapes written with the
+/// add/sub/mul/fma<Counted> helpers below), and each public entry point
+/// reads isCounting() once per call to pick the instantiation. Code
+/// outside those loops (the work-IR tree interpreter, the fig 5-12
+/// simpleFFT tier, applyDense) calls the untemplated helpers, which test
+/// the flag per operation.
 #ifndef SLIN_COUNT_OPS
 #define SLIN_COUNT_OPS 1
 #endif
@@ -172,6 +178,23 @@ inline double fma(double Acc, double A, double B) {
     ++detail::Counts.Adds;
   }
   return Acc + A * B;
+}
+
+/// Counted/uncounted arithmetic chosen at compile time: a kernel
+/// instantiated with Counted = true counts exactly what the helpers
+/// above count, and with Counted = false it is the ops-free fast path.
+/// Both round identically (the same expression, no flag test).
+template <bool Counted> inline double add(double A, double B) {
+  return Counted ? add(A, B) : A + B;
+}
+template <bool Counted> inline double sub(double A, double B) {
+  return Counted ? sub(A, B) : A - B;
+}
+template <bool Counted> inline double mul(double A, double B) {
+  return Counted ? mul(A, B) : A * B;
+}
+template <bool Counted> inline double fma(double Acc, double A, double B) {
+  return Counted ? fma(Acc, A, B) : Acc + A * B;
 }
 
 } // namespace ops

@@ -22,6 +22,7 @@
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "exec/Parallel.h"
+#include "opt/Optimizer.h"
 #include "support/Serialize.h"
 #include "TestGraphs.h"
 
@@ -322,16 +323,10 @@ TEST(ArtifactRoundTrip, BenchmarkAppsAutoSelLoadedBitIdentity) {
 
 // The serialized form of a fixed small program must stay byte-stable;
 // any intentional format change must bump ArtifactStore::formatVersion()
-// and regenerate this golden (SLIN_UPDATE_GOLDEN=1 ./artifact_test).
-TEST(ArtifactGolden, SmallProgramBytesAreStable) {
-  StreamPtr Root = firPipeline({1.0, 2.0, 3.0}, "golden");
-  CompiledOptions Opts;
-  Opts.BatchIterations = 4;
-  CompiledProgram P(*Root, Opts);
+// and regenerate the goldens (SLIN_UPDATE_GOLDEN=1 ./artifact_test).
+void expectGoldenBytes(const CompiledProgram &P, const std::string &File) {
   std::vector<uint8_t> Bytes = serializeOrDie(P);
-
-  std::string Path =
-      std::string(SLIN_TEST_GOLDEN_DIR) + "/program_v1.bin";
+  std::string Path = std::string(SLIN_TEST_GOLDEN_DIR) + "/" + File;
   if (std::getenv("SLIN_UPDATE_GOLDEN")) {
     std::ofstream Out(Path, std::ios::binary);
     Out.write(reinterpret_cast<const char *>(Bytes.data()),
@@ -343,10 +338,32 @@ TEST(ArtifactGolden, SmallProgramBytesAreStable) {
   std::vector<uint8_t> Golden((std::istreambuf_iterator<char>(In)),
                               std::istreambuf_iterator<char>());
   EXPECT_EQ(Bytes, Golden)
-      << "serialized format changed (" << Bytes.size() << " vs "
+      << "serialized form changed (" << Bytes.size() << " vs "
       << Golden.size()
       << " bytes): bump ArtifactStore::formatVersion() and regenerate "
          "with SLIN_UPDATE_GOLDEN=1";
+}
+
+TEST(ArtifactGolden, SmallProgramBytesAreStable) {
+  StreamPtr Root = firPipeline({1.0, 2.0, 3.0}, "golden");
+  CompiledOptions Opts;
+  Opts.BatchIterations = 4;
+  CompiledProgram P(*Root, Opts);
+  expectGoldenBytes(P, "program_v1.bin");
+}
+
+// The same pipeline under frequency replacement: its "freq" payload
+// stores the column spectra forwardReal computed, bit for bit, so any
+// rounding drift in the FFT kernels changes these bytes too.
+TEST(ArtifactGolden, FrequencyProgramBytesAreStable) {
+  StreamPtr Root = firPipeline({1.0, 2.0, 3.0}, "golden");
+  OptimizerOptions O;
+  O.Mode = OptMode::Freq;
+  StreamPtr Opt = optimize(*Root, O);
+  CompiledOptions Opts;
+  Opts.BatchIterations = 4;
+  CompiledProgram P(*Opt, Opts);
+  expectGoldenBytes(P, "program_freq_v1.bin");
 }
 
 //===----------------------------------------------------------------------===//

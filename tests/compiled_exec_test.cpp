@@ -14,6 +14,7 @@
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "matrix/Kernels.h"
+#include "opt/Frequency.h"
 #include "sched/Schedule.h"
 #include "TestGraphs.h"
 
@@ -307,6 +308,84 @@ TEST(BatchedKernels, TunedBatchedBitIdentical) {
                Seq.data() + static_cast<size_t>(I) * U);
   Kern.applyBatched(In.data(), Bat.data(), K, O);
   EXPECT_EQ(Seq, Bat);
+}
+
+/// The frequency filter (Transformations 5 and 6): fireBatch over flat
+/// memory must match K tape firings bit for bit, and count K times one
+/// firing's ops.
+TEST(BatchedKernels, FreqBatchedBitIdentical) {
+  std::mt19937 Rng(17);
+  std::uniform_real_distribution<double> D(-1.0, 1.0);
+  const int K = 5;
+  for (bool Optimized : {true, false})
+    for (int E : {1, 9})
+      for (int U : {1, 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (Optimized ? "optimized" : "naive") << " E=" << E
+                     << " U=" << U);
+        Matrix A(static_cast<size_t>(E), static_cast<size_t>(U));
+        Vector B(static_cast<size_t>(U));
+        for (int P = 0; P != E; ++P)
+          for (int J = 0; J != U; ++J)
+            A.at(static_cast<size_t>(P), static_cast<size_t>(J)) = D(Rng);
+        for (int J = 0; J != U; ++J)
+          B[static_cast<size_t>(J)] = J % 2 ? D(Rng) : 0.0;
+        FrequencyOptions FO;
+        FO.Optimized = Optimized;
+        StreamPtr S =
+            makeFrequencyStream(LinearNode(A, B, E, 1, U), "freq", FO);
+        const auto &F = *cast<Filter>(
+            cast<Pipeline>(S.get())->children().front().get());
+        ASSERT_TRUE(F.isNative());
+        std::unique_ptr<NativeFilter> Seq = F.native().clone();
+        std::unique_ptr<NativeFilter> Bat = F.native().clone();
+        const size_t Pop = static_cast<size_t>(Seq->popRate());
+        const size_t Push = static_cast<size_t>(Seq->pushRate());
+        const size_t InitPop =
+            Seq->hasInitWork() ? static_cast<size_t>(Seq->initPopRate()) : 0;
+        std::vector<double> In(InitPop + (K - 1) * Pop +
+                               static_cast<size_t>(Seq->peekRate()));
+        for (double &V : In)
+          V = D(Rng);
+
+        // The init firing (optimized form) leaves the partial sums the
+        // first steady firing completes; run it on both instances.
+        if (InitPop) {
+          wir::VectorTape T1(In), T2(In);
+          Seq->fireInit(T1);
+          Bat->fireInit(T2);
+          EXPECT_EQ(T1.Output, T2.Output);
+        }
+        wir::VectorTape T(std::vector<double>(In.begin() + InitPop, In.end()));
+        for (int I = 0; I != K; ++I)
+          Seq->fire(T);
+        std::vector<double> Out(K * Push);
+        ASSERT_TRUE(Bat->fireBatch(In.data() + InitPop, Out.data(), K));
+        EXPECT_EQ(T.Output, Out);
+
+#if SLIN_COUNT_OPS
+        // Counted: one batch of K == K tape firings, kind by kind.
+        ops::CountingScope Scope;
+        ops::reset();
+        wir::VectorTape T1(std::vector<double>(In.begin() + InitPop,
+                                               In.end()));
+        for (int I = 0; I != K; ++I)
+          Seq->fire(T1);
+        OpCounts Fired = ops::counts();
+        ops::reset();
+        ASSERT_TRUE(Bat->fireBatch(In.data() + InitPop, Out.data(), K));
+        OpCounts Batched = ops::counts();
+        ops::reset();
+        wir::VectorTape T2(std::vector<double>(In.begin() + InitPop,
+                                               In.end()));
+        Seq->fire(T2);
+        OpCounts One = ops::counts();
+        EXPECT_GT(One.flops(), 0u);
+        EXPECT_EQ(Batched.flops(), K * One.flops());
+        EXPECT_EQ(Fired, Batched);
+        EXPECT_EQ(T1.Output, Out);
+#endif
+      }
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,15 +16,18 @@ loosen the bounds it is gated on. Every run, with the host fingerprint
 from the checkout's .bench_build/results/, is written to RUNS.json; the
 second form gates a RUNS.json again without running anything.
 
-For each workload and each end-to-end metric the gate takes the median
-on each side and the parent's quartiles. It fails (exit 1) when
-  - a change median is worse than the parent's by more than the
-    metric's bound, in its `better` direction;
+For each workload and each end-to-end metric the gate pairs the two
+sides' runs by seed and takes the median of the per-pair change/parent
+ratios: both runs of a pair ran back to back, so load that drifts from
+pair to pair cancels out of each ratio. It fails (exit 1) when
+  - the median ratio is worse than 1 by more than the metric's bound,
+    in its `better` direction;
   - a change run is not `correct` (or did not finish);
   - the change's failed share (failed / attempted) exceeds the parent's.
-A metric whose parent quartiles lie further apart than its bound is
-reported as unresolved: the parent's own runs vary by more than the gate
-could tell apart. The gate refuses to compare (exit 2) when the runs
+A metric whose ratios' quartiles lie further apart than its bound is
+reported as unresolved: the pairs disagree by more than the gate could
+tell apart. Each report line also gives both sides' medians and the
+parent's quartiles. The gate refuses to compare (exit 2) when the runs
 carry more than one host fingerprint, or when a parent run did not
 finish.
 """
@@ -105,6 +108,14 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def ratio(c, p):
+    """change/parent for one pair; a zero parent reads as no change only
+    when the change is zero too."""
+    if p:
+        return c / p
+    return 1.0 if c == p else float("inf")
+
+
 def compare(end_to_end, runs):
     """Gates the change's runs against the parent's: returns (ok, report
     lines). Raises Refused when the runs come from more than one host or
@@ -143,20 +154,28 @@ def compare(end_to_end, runs):
                 w, share["change"], share["parent"]))
         for m in end_to_end:
             name = m["name"]
-            vals = {s: [x["metrics"][name]["value"] for x in results[s]
-                        if name in x["metrics"]] for s in SIDES}
+            vals = {s: {r["seed"]: r["result"]["metrics"][name]["value"]
+                        for r in side[s] if "result" in r and
+                        name in r["result"]["metrics"]} for s in SIDES}
             if not vals["change"]:
                 fail("%s %s: no change run measured it" % (w, name))
                 continue
-            p, c = (statistics.median(vals[s]) for s in SIDES)
-            q1, q3 = quartiles(vals["parent"])
-            rel = (c - p) / p if p else (0.0 if c == p else float("inf"))
+            seeds = [k for k in vals["parent"] if k in vals["change"]]
+            if not seeds:
+                fail("%s %s: no pair measured it on both sides" % (w, name))
+                continue
+            ratios = [ratio(vals["change"][k], vals["parent"][k])
+                      for k in seeds]
+            rel = statistics.median(ratios) - 1
             worse = rel if m["better"] == "lower" else -rel
+            p, c = (statistics.median(vals[s].values()) for s in SIDES)
+            q1, q3 = quartiles(list(vals["parent"].values()))
+            r1, r3 = quartiles(ratios)
             line = "%-12s %-16s parent %10.4g [%.4g, %.4g]  change %10.4g" \
-                   "  %+7.1f%%  bound %3.0f%%" % (
+                   "  paired %+7.1f%%  bound %3.0f%%" % (
                        w, name, p, q1, q3, c, 100 * rel, 100 * m["bound"])
-            if p and (q3 - q1) / p > m["bound"]:
-                line += "  unresolved: parent spread exceeds the bound"
+            if r3 - r1 > m["bound"]:
+                line += "  unresolved: ratios spread %.4g-%.4g" % (r1, r3)
             if worse > m["bound"]:
                 fail(line)
             else:
@@ -186,10 +205,15 @@ def self_test():
     base = {m["name"]: 100.0 + i for i, m in enumerate(e2e)}
     host = {"nproc": 4, "cpu": "synthetic"}
 
-    def runs(change_scale=None, change_failed=0, change_host=host):
+    # Host load that drifts from pair to pair, x1.0 to x1.5, and is
+    # shared by both runs of a pair.
+    drift = [1 + 0.5 * (i * 7 % PAIRS) / (PAIRS - 1) for i in range(PAIRS)]
+
+    def runs(change_scale=None, change_failed=0, change_host=host,
+             load=None):
         out = []
         for seed in range(1, PAIRS + 1):
-            jitter = 1 + 0.01 * (seed % 3)
+            jitter = (1 + 0.01 * (seed % 3)) * (load[seed - 1] if load else 1)
             for s in SIDES:
                 vals = {k: v * jitter for k, v in base.items()}
                 failed = 0
@@ -221,6 +245,9 @@ def self_test():
          "failed share"),
         ("differing hosts are refused",
          runs(change_host=dict(host, nproc=2)), None, None),
+        ("drifting load, +0% change passes", runs(load=drift), True, None),
+        ("drifting load, +40% ns_per_output fails",
+         runs({"ns_per_output": 1.40}, load=drift), False, "ns_per_output"),
     ]
     bad = 0
     for name, rs, want, finding in cases:
@@ -228,8 +255,13 @@ def self_test():
             got, report = compare(e2e, rs)
         except Refused:
             got, report = None, []
+        # A passing case must also resolve every metric: the drifting
+        # load spreads the parent's own runs by 50%, but not the ratios.
         passed = got == want and (finding is None or any(
             line.startswith("FAIL") and finding in line for line in report))
+        if want:
+            passed = passed and not any("unresolved" in line
+                                        for line in report)
         log("%s %s" % ("ok  " if passed else "FAIL", name))
         bad += not passed
     return 1 if bad else 0
