@@ -114,20 +114,46 @@ constexpr double Infinity = std::numeric_limits<double>::infinity();
 
 enum class Transform { Any = 0, Linear = 1, Freq = 2, None = 3 };
 
-struct Config {
-  double Cost = Infinity;
-  StreamPtr Str; ///< null iff infeasible
-
-  bool feasible() const { return Str != nullptr; }
+/// Cells X1..X2 x Y1..Y2 of a container's child grid.
+struct RectKey {
+  const Stream *Container;
+  int X1, X2, Y1, Y2;
+  bool operator<(const RectKey &O) const {
+    return std::tie(Container, X1, X2, Y1, Y2) <
+           std::tie(O.Container, O.X1, O.X2, O.Y1, O.Y2);
+  }
 };
 
-Config cloneConfig(const Config &C) {
-  Config R;
-  R.Cost = C.Cost;
-  if (C.Str)
-    R.Str = C.Str->clone();
-  return R;
-}
+/// A recipe for one configuration. The DP memoises plans, not streams:
+/// plans are immutable and shared, so a memo hit copies a pointer, and
+/// only the winning plan is ever built.
+struct Plan {
+  enum class Kind {
+    Keep,     ///< the filter S as written
+    Replace,  ///< the filter S replaced by its node under T
+    Collapse, ///< rect R combined into one node, realised under T
+    Cut,      ///< pipeline {A, B}
+    VCut,     ///< rect R as a splitjoin {A, B} split at column Pivot
+    Feedback  ///< the loop S with body A and loop B
+  };
+  explicit Plan(Kind K) : K(K) {}
+  Kind K;
+  Transform T = Transform::None;
+  const Stream *S = nullptr;
+  RectKey R{};
+  int Pivot = 0;
+  std::shared_ptr<const Plan> A, B;
+};
+using PlanPtr = std::shared_ptr<const Plan>;
+
+struct Config {
+  double Cost = Infinity;
+  PlanPtr P; ///< null iff infeasible
+
+  bool feasible() const { return P != nullptr; }
+};
+
+PlanPtr makePlan(Plan P) { return std::make_shared<const Plan>(std::move(P)); }
 
 /// The child grid of a container (Section 4.3.2): splitjoin children are
 /// columns (pipelines stack vertically); a pipeline is a single column.
@@ -159,7 +185,7 @@ public:
     Config C = getCost(Root, Transform::Any);
     if (!C.feasible())
       fatalError("selection produced no feasible configuration");
-    return C.Str->clone();
+    return build(*C.P);
   }
 
 private:
@@ -171,6 +197,48 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
+  // Building the winner
+  //===--------------------------------------------------------------------===//
+
+  StreamPtr build(const Plan &P) {
+    switch (P.K) {
+    case Plan::Kind::Keep:
+      return P.S->clone();
+    case Plan::Kind::Replace:
+      return realize(*LA.nodeFor(*P.S), P.S->name(), P.T);
+    case Plan::Kind::Collapse:
+      return realize(*rectNode(gridFor(*P.R.Container), P.R.X1, P.R.X2,
+                               P.R.Y1, P.R.Y2),
+                     "collapsed", P.T);
+    case Plan::Kind::Cut: {
+      auto Out = std::make_unique<Pipeline>("cut");
+      Out->add(build(*P.A));
+      Out->add(build(*P.B));
+      return Out;
+    }
+    case Plan::Kind::VCut:
+      return makeVerticalWrapper(gridFor(*P.R.Container), P.R.X1, P.Pivot,
+                                 P.R.X2, P.R.Y1, P.R.Y2, build(*P.A),
+                                 build(*P.B));
+    case Plan::Kind::Feedback: {
+      const auto *FB = cast<FeedbackLoop>(P.S);
+      return std::make_unique<FeedbackLoop>(FB->name(), FB->joiner(),
+                                            build(*P.A), build(*P.B),
+                                            FB->splitter(), FB->enqueued());
+    }
+    }
+    unreachable("unexpected plan kind");
+  }
+
+  /// \p N implemented directly (Linear) or in the frequency domain.
+  StreamPtr realize(const LinearNode &N, const std::string &Stem,
+                    Transform T) const {
+    if (T == Transform::Linear)
+      return makeLinearFilter(N, Stem + "_linear", Opts.CodeGen);
+    return makeFrequencyStream(N, Stem + "_freq", Opts.Freq);
+  }
+
+  //===--------------------------------------------------------------------===//
   // Stream-level costs
   //===--------------------------------------------------------------------===//
 
@@ -179,10 +247,10 @@ private:
     auto Key = std::make_pair(&S, static_cast<int>(T));
     auto It = StreamMemo.find(Key);
     if (It != StreamMemo.end())
-      return cloneConfig(It->second);
+      return It->second;
     Config C = computeCost(S, T);
-    auto [Ins, _] = StreamMemo.emplace(Key, std::move(C));
-    return cloneConfig(Ins->second);
+    StreamMemo.emplace(Key, C);
+    return C;
   }
 
   Config computeCost(const Stream &S, Transform T) {
@@ -207,13 +275,13 @@ private:
       --FeedbackDepth;
       if (!Body.feasible() || !Loop.feasible())
         return Config();
-      Config C;
-      C.Cost = Body.Cost * static_cast<double>(Reps[0]) +
-               Loop.Cost * static_cast<double>(Reps[1]);
-      C.Str = std::make_unique<FeedbackLoop>(
-          FB->name(), FB->joiner(), std::move(Body.Str), std::move(Loop.Str),
-          FB->splitter(), FB->enqueued());
-      return C;
+      Plan P(Plan::Kind::Feedback);
+      P.S = FB;
+      P.A = Body.P;
+      P.B = Loop.P;
+      return {Body.Cost * static_cast<double>(Reps[0]) +
+                  Loop.Cost * static_cast<double>(Reps[1]),
+              makePlan(std::move(P))};
     }
 
     // Containers: full-rectangle DP.
@@ -224,26 +292,25 @@ private:
 
   Config filterCost(const Filter &F, Transform T) {
     const LinearNode *N = LA.nodeFor(F);
-    Config C;
+    Plan P(Plan::Kind::Replace);
+    P.S = &F;
+    P.T = T;
     switch (T) {
     case Transform::Linear:
       if (!N)
         return Config();
-      C.Cost = Model.directCost(*N, isSelectionNode(*N));
-      C.Str = makeLinearFilter(*N, F.name() + "_linear", Opts.CodeGen);
-      return C;
+      return {Model.directCost(*N, isSelectionNode(*N)),
+              makePlan(std::move(P))};
     case Transform::Freq:
       if (!N || FeedbackDepth > 0 || !canConvertToFrequency(*N, Opts.Freq))
         return Config();
-      C.Cost = Model.frequencyCost(*N);
-      C.Str = makeFrequencyStream(*N, F.name() + "_freq", Opts.Freq);
-      return C;
+      return {Model.frequencyCost(*N), makePlan(std::move(P))};
     case Transform::None:
       // Linear nodes left in place still execute at direct cost;
       // nonlinear nodes are not tallied (Figure 4-5).
-      C.Cost = N ? Model.directCost(*N, isSelectionNode(*N)) : 0.0;
-      C.Str = F.clone();
-      return C;
+      P.K = Plan::Kind::Keep;
+      return {N ? Model.directCost(*N, isSelectionNode(*N)) : 0.0,
+              makePlan(std::move(P))};
     case Transform::Any:
       break;
     }
@@ -337,28 +404,20 @@ private:
   // Rectangle costs
   //===--------------------------------------------------------------------===//
 
-  struct RectKey {
-    const Stream *Container;
-    int T, X1, X2, Y1, Y2;
-    bool operator<(const RectKey &O) const {
-      return std::tie(Container, T, X1, X2, Y1, Y2) <
-             std::tie(O.Container, O.T, O.X1, O.X2, O.Y1, O.Y2);
-    }
-  };
-
   Config getRectCost(const Grid &G, Transform T, int X1, int X2, int Y1,
                      int Y2) {
     // Clip the rect to existing cells and reject empty columns.
     for (int X = X1; X <= X2; ++X)
       if (Y1 >= static_cast<int>(G.Columns[static_cast<size_t>(X)].size()))
         return Config();
-    RectKey Key{G.Container, static_cast<int>(T), X1, X2, Y1, Y2};
+    auto Key = std::make_pair(RectKey{G.Container, X1, X2, Y1, Y2},
+                              static_cast<int>(T));
     auto It = RectMemo.find(Key);
     if (It != RectMemo.end())
-      return cloneConfig(It->second);
+      return It->second;
     Config C = computeRectCost(G, T, X1, X2, Y1, Y2);
-    auto [Ins, _] = RectMemo.emplace(std::move(Key), std::move(C));
-    return cloneConfig(Ins->second);
+    RectMemo.emplace(Key, C);
+    return C;
   }
 
   Config computeRectCost(const Grid &G, Transform T, int X1, int X2, int Y1,
@@ -400,11 +459,10 @@ private:
       if (!A.feasible() || !B.feasible())
         continue;
       if (A.Cost + B.Cost < Best.Cost || !Best.feasible()) {
-        auto P = std::make_unique<Pipeline>("cut");
-        P->add(std::move(A.Str));
-        P->add(std::move(B.Str));
-        Best.Cost = A.Cost + B.Cost;
-        Best.Str = std::move(P);
+        Plan P(Plan::Kind::Cut);
+        P.A = A.P;
+        P.B = B.P;
+        Best = {A.Cost + B.Cost, makePlan(std::move(P))};
       }
     }
     // Vertical cuts (splitjoin splits).
@@ -415,39 +473,61 @@ private:
         if (!A.feasible() || !B.feasible())
           continue;
         if (A.Cost + B.Cost < Best.Cost || !Best.feasible()) {
-          StreamPtr Wrapper = makeVerticalWrapper(G, X1, Pivot, X2, Y1, Y2,
-                                                  std::move(A.Str),
-                                                  std::move(B.Str));
-          if (!Wrapper)
-            continue;
-          Best.Cost = A.Cost + B.Cost;
-          Best.Str = std::move(Wrapper);
+          Plan P(Plan::Kind::VCut);
+          P.R = {G.Container, X1, X2, Y1, Y2};
+          P.Pivot = Pivot;
+          P.A = A.P;
+          P.B = B.P;
+          Best = {A.Cost + B.Cost, makePlan(std::move(P))};
         }
       }
     }
     return Best;
   }
 
+  /// What collapsing a rect costs per container steady state, priced
+  /// once for both transforms. The combined node is not kept: a winning
+  /// collapse recomputes it through rectNode, an AnalysisManager hit.
+  struct RectPrice {
+    bool Linear = false; ///< the rect combines into one linear node
+    double Direct = Infinity;
+    bool FreqOK = false; ///< canConvertToFrequency holds for that node
+    double Freq = Infinity;
+  };
+
+  const RectPrice &priceRect(const Grid &G, int X1, int X2, int Y1, int Y2) {
+    RectKey Key{G.Container, X1, X2, Y1, Y2};
+    auto It = Prices.find(Key);
+    if (It != Prices.end())
+      return It->second;
+    RectPrice P;
+    if (std::shared_ptr<const LinearNode> Node =
+            rectNode(G, X1, X2, Y1, Y2)) {
+      int64_t Flow = rectInputFlow(G, X1, X2, Y1);
+      double Firings =
+          static_cast<double>(Flow) / static_cast<double>(Node->popRate());
+      P.Linear = true;
+      P.Direct = Model.directCost(*Node, isSelectionNode(*Node)) * Firings;
+      P.FreqOK = canConvertToFrequency(*Node, Opts.Freq);
+      if (P.FreqOK)
+        P.Freq = Model.frequencyCost(*Node) * Firings;
+    }
+    return Prices.emplace(Key, P).first->second;
+  }
+
   /// Collapses rect columns' nodes into one and prices it.
   Config collapseRect(const Grid &G, Transform T, int X1, int X2, int Y1,
                       int Y2) {
-    std::optional<LinearNode> Node = rectNode(G, X1, X2, Y1, Y2);
-    if (!Node)
+    const RectPrice &Price = priceRect(G, X1, X2, Y1, Y2);
+    if (!Price.Linear)
       return Config();
-    Config C;
-    int64_t Flow = rectInputFlow(G, X1, X2, Y1);
-    double Firings =
-        static_cast<double>(Flow) / static_cast<double>(Node->popRate());
-    if (T == Transform::Linear) {
-      C.Cost = Model.directCost(*Node, isSelectionNode(*Node)) * Firings;
-      C.Str = makeLinearFilter(*Node, "collapsed_linear", Opts.CodeGen);
-      return C;
-    }
-    if (FeedbackDepth > 0 || !canConvertToFrequency(*Node, Opts.Freq))
+    if (T == Transform::Freq && (FeedbackDepth > 0 || !Price.FreqOK))
       return Config();
-    C.Cost = Model.frequencyCost(*Node) * Firings;
-    C.Str = makeFrequencyStream(*Node, "collapsed_freq", Opts.Freq);
-    return C;
+    Plan P(Plan::Kind::Collapse);
+    P.T = T;
+    P.R = {G.Container, X1, X2, Y1, Y2};
+    return {T == Transform::Linear ? Price.Direct : Price.Freq,
+            makePlan(std::move(P))};
   }
 
   /// Items entering the rect per container steady state (for a duplicate
@@ -468,43 +548,49 @@ private:
     return Sum;
   }
 
-  /// The combined linear node of a rect, or nothing if any cell is
+  /// The combined linear node of a rect (the AnalysisManager's cached
+  /// combination, shared rather than copied), or null if any cell is
   /// nonlinear or the combination exceeds the size limit.
-  std::optional<LinearNode> rectNode(const Grid &G, int X1, int X2, int Y1,
-                                     int Y2) {
+  std::shared_ptr<const LinearNode> rectNode(const Grid &G, int X1, int X2,
+                                             int Y1, int Y2) {
+    auto Shared = [](std::shared_ptr<const std::optional<LinearNode>> R) {
+      return R->has_value() ? std::shared_ptr<const LinearNode>(R, &**R)
+                            : nullptr;
+    };
     std::vector<LinearNode> Cols;
     for (int X = X1; X <= X2; ++X) {
       int Bottom = std::min(
           Y2, static_cast<int>(G.Columns[static_cast<size_t>(X)].size()) - 1);
-      std::optional<LinearNode> Col;
+      const LinearNode *Col = nullptr;        // the column combined so far
+      std::shared_ptr<const LinearNode> Held; // owns Col once combined
       for (int Y = Y1; Y <= Bottom; ++Y) {
         const LinearNode *N =
             LA.nodeFor(*G.Columns[static_cast<size_t>(X)]
                                  [static_cast<size_t>(Y)]);
         if (!N)
-          return std::nullopt;
+          return nullptr;
         if (!Col) {
-          Col = *N;
+          Col = N;
           continue;
         }
-        auto R = AM.combinePipeline(*Col, *N, Opts.MaxMatrixElements);
-        if (!R->has_value())
-          return std::nullopt;
-        Col = **R;
+        Held = Shared(
+            AM.combinePipeline(*Col, *N, Opts.MaxMatrixElements));
+        if (!Held)
+          return nullptr;
+        Col = Held.get();
       }
-      Cols.push_back(std::move(*Col));
+      // A one-column rect spans two or more cells (one cell descends).
+      if (X1 == X2)
+        return Held;
+      Cols.push_back(*Col);
     }
-    if (X1 == X2)
-      return Cols.front();
 
     const auto *SJ = cast<SplitJoin>(G.Container);
-    int H = static_cast<int>(G.Columns[static_cast<size_t>(X1)].size());
     bool FullBottom = true;
     for (int X = X1; X <= X2; ++X)
       FullBottom =
           FullBottom &&
           Y2 >= static_cast<int>(G.Columns[static_cast<size_t>(X)].size()) - 1;
-    (void)H;
 
     // Joiner weights: original (subset) at the true bottom, interface
     // flows otherwise.
@@ -525,16 +611,16 @@ private:
       if (!Dup)
         for (int X = X1; X <= X2; ++X)
           SplitW.push_back(SJ->splitter().Weights[static_cast<size_t>(X)]);
-      return *AM.combineSplitJoin(Cols, Dup, SplitW, JoinW,
-                                  Opts.MaxMatrixElements);
+      return Shared(AM.combineSplitJoin(Cols, Dup, SplitW, JoinW,
+                                        Opts.MaxMatrixElements));
     }
     // Mid-cut rect: the input is the interleaved interface stream.
     std::vector<int64_t> InFlows;
     for (int X = X1; X <= X2; ++X)
       InFlows.push_back(flowIntoCell(G, X, Y1));
     std::vector<int> SplitW = interfaceWeights(InFlows);
-    return *AM.combineSplitJoin(Cols, /*Duplicate=*/false, SplitW, JoinW,
-                                Opts.MaxMatrixElements);
+    return Shared(AM.combineSplitJoin(Cols, /*Duplicate=*/false, SplitW,
+                                      JoinW, Opts.MaxMatrixElements));
   }
 
   /// Builds the splitjoin wrapper for a vertical cut at \p XPivot.
@@ -600,7 +686,8 @@ private:
   std::unique_ptr<LinearAnalysis> OwnedLA; ///< null when Analysis provided
   const LinearAnalysis &LA;
   std::map<std::pair<const Stream *, int>, Config> StreamMemo;
-  std::map<RectKey, Config> RectMemo;
+  std::map<std::pair<RectKey, int>, Config> RectMemo;
+  std::map<RectKey, RectPrice> Prices;
   std::map<const Stream *, Grid> Grids;
 };
 

@@ -7,7 +7,11 @@
 /// to the time domain, (2) collapsing to the frequency domain, and (3)
 /// leaving the region uncollapsed but refactored via horizontal cuts
 /// (pipeline splits) and vertical cuts (splitjoin splits), memoizing
-/// Config = ⟨cost, stream⟩ per (region, transform).
+/// Config = ⟨cost, plan⟩ per (region, transform). A plan is an immutable
+/// recipe (keep or replace a filter, collapse a region, cut, or rebuild a
+/// feedback loop) shared between memo entries; a region is priced once
+/// for both collapsed implementations without keeping its combined node,
+/// and only the winning plan is built, once, at the end.
 ///
 /// Costs are expressed per steady state of the enclosing container, so a
 /// cut's cost is simply the sum of its parts and a collapsed node's cost

@@ -24,7 +24,8 @@ struct RateErr {
 };
 
 RateSignature ratesOf(const Stream &S, RateErr &E);
-std::vector<int64_t> repsOf(const Stream &Container, RateErr &E);
+std::vector<int64_t> repsOf(const Stream &Container,
+                            std::vector<RateSignature> &Kids, RateErr &E);
 
 /// Scales a vector of positive rationals to the minimal integer vector
 /// with the same ratios.
@@ -52,7 +53,9 @@ std::vector<int64_t> toMinimalIntegers(const std::vector<Rational> &Rats,
   return Ints;
 }
 
-std::vector<int64_t> pipelineRepetitions(const Pipeline &P, RateErr &E) {
+std::vector<int64_t> pipelineRepetitions(const Pipeline &P,
+                                         std::vector<RateSignature> &Kids,
+                                         RateErr &E) {
   const auto &Children = P.children();
   if (Children.empty()) {
     E.set("empty pipeline '" + P.name() + "'");
@@ -60,11 +63,12 @@ std::vector<int64_t> pipelineRepetitions(const Pipeline &P, RateErr &E) {
   }
   std::vector<Rational> Reps;
   Reps.push_back(Rational(1));
-  RateSignature Prev = ratesOf(*Children.front(), E);
+  Kids.push_back(ratesOf(*Children.front(), E));
   for (size_t I = 1; I != Children.size() && !E.failed(); ++I) {
-    RateSignature Cur = ratesOf(*Children[I], E);
+    Kids.push_back(ratesOf(*Children[I], E));
     if (E.failed())
       break;
+    const RateSignature &Prev = Kids[I - 1], &Cur = Kids[I];
     if (Prev.Push == 0) {
       E.set("pipeline '" + P.name() + "': child " + std::to_string(I - 1) +
             " pushes nothing but is not last");
@@ -76,7 +80,6 @@ std::vector<int64_t> pipelineRepetitions(const Pipeline &P, RateErr &E) {
       break;
     }
     Reps.push_back(Reps.back() * Rational(Prev.Push, Cur.Pop));
-    Prev = Cur;
   }
   if (E.failed())
     return {};
@@ -90,7 +93,9 @@ bool nonNegativeWeights(const std::vector<int> &Weights) {
   return true;
 }
 
-std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
+std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ,
+                                          std::vector<RateSignature> &Rates,
+                                          RateErr &E) {
   const auto &Children = SJ.children();
   size_t N = Children.size();
   if (N == 0) {
@@ -113,7 +118,6 @@ std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
     return {};
   }
 
-  std::vector<RateSignature> Rates;
   Rates.reserve(N);
   for (const StreamPtr &C : Children) {
     Rates.push_back(ratesOf(*C, E));
@@ -227,11 +231,13 @@ std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
 }
 
 std::vector<int64_t> feedbackLoopRepetitions(const FeedbackLoop &FB,
+                                             std::vector<RateSignature> &Kids,
                                              RateErr &E) {
-  RateSignature Body = ratesOf(FB.body(), E);
-  RateSignature Loop = ratesOf(FB.loop(), E);
+  Kids.push_back(ratesOf(FB.body(), E));
+  Kids.push_back(ratesOf(FB.loop(), E));
   if (E.failed())
     return {};
+  const RateSignature &Body = Kids[0], &Loop = Kids[1];
   const Joiner &Join = FB.joiner();
   const Splitter &Split = FB.splitter();
   if (Join.Weights.size() != 2) {
@@ -270,16 +276,20 @@ std::vector<int64_t> feedbackLoopRepetitions(const FeedbackLoop &FB,
   return toMinimalIntegers({B, L}, E);
 }
 
-std::vector<int64_t> repsOf(const Stream &Container, RateErr &E) {
+/// Solves \p Container's balance equations. Each child is rated exactly
+/// once, in order, and its signature appended to \p Kids, so rating a
+/// nest visits every stream once however deep it is.
+std::vector<int64_t> repsOf(const Stream &Container,
+                            std::vector<RateSignature> &Kids, RateErr &E) {
   switch (Container.kind()) {
   case StreamKind::Filter:
     return {};
   case StreamKind::Pipeline:
-    return pipelineRepetitions(*cast<Pipeline>(&Container), E);
+    return pipelineRepetitions(*cast<Pipeline>(&Container), Kids, E);
   case StreamKind::SplitJoin:
-    return splitJoinRepetitions(*cast<SplitJoin>(&Container), E);
+    return splitJoinRepetitions(*cast<SplitJoin>(&Container), Kids, E);
   case StreamKind::FeedbackLoop:
-    return feedbackLoopRepetitions(*cast<FeedbackLoop>(&Container), E);
+    return feedbackLoopRepetitions(*cast<FeedbackLoop>(&Container), Kids, E);
   }
   unreachable("unknown stream kind");
 }
@@ -287,20 +297,17 @@ std::vector<int64_t> repsOf(const Stream &Container, RateErr &E) {
 RateSignature ratesOf(const Stream &S, RateErr &E) {
   if (E.failed())
     return {};
-  switch (S.kind()) {
-  case StreamKind::Filter: {
-    const auto *F = cast<Filter>(&S);
+  if (const auto *F = dynCast<Filter>(&S))
     return {F->peekRate(), F->popRate(), F->pushRate()};
-  }
+  std::vector<RateSignature> Kids;
+  std::vector<int64_t> Reps = repsOf(S, Kids, E);
+  if (E.failed())
+    return {};
+  switch (S.kind()) {
+  case StreamKind::Filter:
+    break;
   case StreamKind::Pipeline: {
-    const auto *P = cast<Pipeline>(&S);
-    std::vector<int64_t> Reps = repsOf(S, E);
-    if (E.failed())
-      return {};
-    RateSignature First = ratesOf(*P->children().front(), E);
-    RateSignature Last = ratesOf(*P->children().back(), E);
-    if (E.failed())
-      return {};
+    const RateSignature &First = Kids.front(), &Last = Kids.back();
     RateSignature R;
     R.Pop = mulSat64(First.Pop, Reps.front());
     R.Peek = addSat64(R.Pop, First.Peek - First.Pop);
@@ -309,21 +316,16 @@ RateSignature ratesOf(const Stream &S, RateErr &E) {
   }
   case StreamKind::SplitJoin: {
     const auto *SJ = cast<SplitJoin>(&S);
-    std::vector<int64_t> Reps = repsOf(S, E);
-    if (E.failed())
-      return {};
-    const auto &Children = SJ->children();
     RateSignature R;
     R.Push = 0;
-    for (size_t K = 0; K != Children.size(); ++K)
-      R.Push = addSat64(R.Push,
-                        mulSat64(ratesOf(*Children[K], E).Push, Reps[K]));
+    for (size_t K = 0; K != Kids.size(); ++K)
+      R.Push = addSat64(R.Push, mulSat64(Kids[K].Push, Reps[K]));
 
     if (SJ->splitter().Kind == Splitter::Duplicate) {
       int64_t MaxPeek = 0;
       int64_t Consumed = 0;
-      for (size_t K = 0; K != Children.size(); ++K) {
-        RateSignature C = ratesOf(*Children[K], E);
+      for (size_t K = 0; K != Kids.size(); ++K) {
+        const RateSignature &C = Kids[K];
         Consumed = mulSat64(C.Pop, Reps[K]);
         MaxPeek = std::max(MaxPeek, addSat64(Consumed, C.Peek - C.Pop));
       }
@@ -334,10 +336,10 @@ RateSignature ratesOf(const Stream &S, RateErr &E) {
       int64_t VTot = SJ->splitter().totalWeight();
       int64_t SplitRep = 0;
       int64_t ExtraPeek = 0;
-      for (size_t K = 0; K != Children.size(); ++K) {
+      for (size_t K = 0; K != Kids.size(); ++K) {
         if (SJ->splitter().Weights[K] == 0)
           continue;
-        RateSignature C = ratesOf(*Children[K], E);
+        const RateSignature &C = Kids[K];
         SplitRep = mulSat64(C.Pop, Reps[K]) / SJ->splitter().Weights[K];
         ExtraPeek = std::max(ExtraPeek, C.Peek - C.Pop);
       }
@@ -351,10 +353,7 @@ RateSignature ratesOf(const Stream &S, RateErr &E) {
   }
   case StreamKind::FeedbackLoop: {
     const auto *FB = cast<FeedbackLoop>(&S);
-    std::vector<int64_t> Reps = repsOf(S, E);
-    if (E.failed())
-      return {};
-    RateSignature Body = ratesOf(FB->body(), E);
+    const RateSignature &Body = Kids[0];
     int64_t JoinCycles =
         mulSat64(Body.Pop, Reps[0]) / FB->joiner().totalWeight();
     int64_t SplitCycles =
@@ -382,7 +381,8 @@ Expected<RateSignature> slin::tryComputeRates(const Stream &S) {
 Expected<std::vector<int64_t>>
 slin::tryChildRepetitions(const Stream &Container) {
   RateErr E;
-  std::vector<int64_t> R = repsOf(Container, E);
+  std::vector<RateSignature> Kids;
+  std::vector<int64_t> R = repsOf(Container, Kids, E);
   if (E.failed())
     return Status(ErrorCode::RateError, E.Msg);
   return R;

@@ -5,7 +5,9 @@
 /// 3.3.1, after Karczmarek [20]): per-container child repetition counts
 /// and aggregate peek/pop/push signatures for whole sub-streams. The
 /// combination transformations and the optimization-selection DP both
-/// consume these.
+/// consume these. Solving a container rates each child once and solves
+/// its balance equations from those signatures, so one call costs time
+/// linear in the size of the sub-stream, however deeply it nests.
 ///
 //===----------------------------------------------------------------------===//
 

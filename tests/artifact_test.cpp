@@ -366,6 +366,66 @@ TEST(ArtifactGolden, FrequencyProgramBytesAreStable) {
   expectGoldenBytes(P, "program_freq_v1.bin");
 }
 
+uint64_t fnv1a64(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint8_t B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+// The selection DP's choices on the nine fig 5-1 apps, under the default
+// (measured, compiled-engine) model and under the paper's model: the
+// size and FNV-1a-64 of each serialized program. A change to selection
+// or to a cost model that moves any of these must declare itself here.
+TEST(ArtifactGolden, AutoSelProgramsArePinned) {
+  struct Pin {
+    const char *App;
+    size_t Bytes;
+    uint64_t Hash;
+    size_t PaperBytes;
+    uint64_t PaperHash;
+  };
+  const Pin Pins[] = {
+      {"FIR", 5539, 0x5a70ac37c1ce8f05, 5539, 0x5a70ac37c1ce8f05},
+      {"RateConvert", 9845, 0x2986330d6d14b69a, 9845, 0x2986330d6d14b69a},
+      {"TargetDetect", 61098, 0x58c0beed5fe3760d, 61098, 0x58c0beed5fe3760d},
+      {"FMRadio", 9554, 0xd607c2f2be19f7d3, 9554, 0xd607c2f2be19f7d3},
+      {"Radar", 169638, 0x0dfcdea711b74f25, 108847, 0x66e99746877a2b3d},
+      {"FilterBank", 27442, 0x9f130171c25b7426, 27442, 0x9f130171c25b7426},
+      {"Vocoder", 12789, 0xf422395d1b1818d7, 12789, 0xf422395d1b1818d7},
+      {"Oversampler", 18669, 0x57bc6c05993513f4, 18669, 0x57bc6c05993513f4},
+      {"DToA", 17562325, 0x9331907195ff57eb, 17562325, 0x9331907195ff57eb},
+  };
+  const CostModel Paper;
+  ASSERT_EQ(apps::allBenchmarks().size(), std::size(Pins));
+  for (const Pin &Want : Pins) {
+    StreamPtr Root;
+    for (const apps::BenchmarkEntry &B : apps::allBenchmarks())
+      if (B.Name == Want.App)
+        Root = B.Build();
+    ASSERT_NE(Root, nullptr) << Want.App;
+    for (const CostModel *Model : {static_cast<const CostModel *>(nullptr),
+                                   &Paper}) {
+      PipelineOptions PO;
+      PO.Mode = OptMode::AutoSel;
+      PO.Exec.Eng = Engine::Compiled;
+      PO.Model = Model;
+      PO.UseProgramCache = false;
+      PO.VerifyAfterEachPass = true;
+      CompileResult R = compileStream(*Root, PO);
+      ASSERT_NE(R.Program, nullptr) << Want.App;
+      std::vector<uint8_t> Bytes = serializeOrDie(*R.Program);
+      const char *What = Model ? "paper model" : "measured model";
+      EXPECT_EQ(Bytes.size(), Model ? Want.PaperBytes : Want.Bytes)
+          << Want.App << " under the " << What;
+      EXPECT_EQ(fnv1a64(Bytes), Model ? Want.PaperHash : Want.Hash)
+          << Want.App << " under the " << What;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Cache-key coverage
 //===----------------------------------------------------------------------===//

@@ -109,6 +109,39 @@ TEST(Sched, SplitJoinWholeCycleAlignment) {
   EXPECT_EQ(R.Push, 8);
 }
 
+TEST(Sched, DeepNestRatesAreLinear) {
+  // nest(0) = Gain; nest(d) = roundrobin(1, d) splitjoin of {Gain,
+  // pipeline{nest(d - 1)}} joined (1, d): pop = push = d + 1. Rating each
+  // stream once per call keeps this linear in the depth; re-rating a
+  // child at every level would be exponential in it.
+  constexpr int Depth = 32;
+  StreamPtr Nest = makeGain(2.0);
+  for (int D = 1; D <= Depth; ++D) {
+    auto Inner = std::make_unique<Pipeline>("inner" + std::to_string(D));
+    Inner->add(std::move(Nest));
+    auto SJ = std::make_unique<SplitJoin>(
+        "nest" + std::to_string(D), Splitter::roundRobin({1, D}),
+        Joiner::roundRobin({1, D}));
+    SJ->add(makeGain(0.5));
+    SJ->add(std::move(Inner));
+    Nest = std::move(SJ);
+  }
+  RateSignature R = tryComputeRates(*Nest).orDie();
+  EXPECT_EQ(R.Pop, Depth + 1);
+  EXPECT_EQ(R.Peek, Depth + 1);
+  EXPECT_EQ(R.Push, Depth + 1);
+  const Stream *Level = Nest.get();
+  for (int D = Depth; D >= 1; --D) {
+    EXPECT_EQ(tryChildRepetitions(*Level).orDie(),
+              (std::vector<int64_t>{1, 1}))
+        << "depth " << D;
+    const Stream &Inner = *cast<SplitJoin>(Level)->children()[1];
+    EXPECT_EQ(tryChildRepetitions(Inner).orDie(), (std::vector<int64_t>{1}));
+    Level = cast<Pipeline>(&Inner)->children()[0].get();
+  }
+  EXPECT_EQ(Level->kind(), StreamKind::Filter);
+}
+
 TEST(Sched, UnbalancedFeedbackLoopIsARateError) {
   // Adder(2) pushes one item per firing but the splitter must send one
   // item per cycle to the loop AND one downstream: inconsistent.

@@ -6,6 +6,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiler/Pipeline.h"
+#include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "opt/Optimizer.h"
 #include "TestGraphs.h"
@@ -412,6 +414,63 @@ TEST(Selection, FeedbackLoopChildrenOptimized) {
   P->add(makePrinterSink());
   auto Opt = optimizeAutoSel(*P);
   expectSameOutputs(*P, *Opt, 48, 1e-9, "autosel feedback");
+}
+
+/// Containers on the longest root-to-filter path.
+int nestDepth(const Stream &S) {
+  int D = 0;
+  if (const auto *FB = dynCast<FeedbackLoop>(&S))
+    return 1 + std::max(nestDepth(FB->body()), nestDepth(FB->loop()));
+  if (const auto *P = dynCast<Pipeline>(&S))
+    for (const StreamPtr &C : P->children())
+      D = std::max(D, nestDepth(*C));
+  else if (const auto *SJ = dynCast<SplitJoin>(&S))
+    for (const StreamPtr &C : SJ->children())
+      D = std::max(D, nestDepth(*C));
+  else
+    return 0;
+  return D + 1;
+}
+
+TEST(Selection, WideSplitJoinLowersThroughNestedVerticalCuts) {
+  // Twenty branches of {FIR, square}: the squares cannot collapse, so the
+  // DP splits the splitjoin by vertical cuts into a nest about as deep as
+  // it is wide, and lowering must rate that nest in time linear in its
+  // size.
+  constexpr int Branches = 20;
+  auto SJ = std::make_unique<SplitJoin>(
+      "wide", Splitter::roundRobin(std::vector<int>(Branches, 1)),
+      Joiner::roundRobin(std::vector<int>(Branches, 1)));
+  for (int K = 0; K != Branches; ++K) {
+    std::vector<double> H;
+    for (int I = 0; I != 4; ++I)
+      H.push_back(0.25 * (K + 1) + 0.125 * I);
+    auto Branch = std::make_unique<Pipeline>("branch" + std::to_string(K));
+    Branch->add(makeFIR(H, "fir" + std::to_string(K)));
+    Branch->add(std::make_unique<Filter>(
+        "square" + std::to_string(K), std::vector<FieldDef>{},
+        WorkFunction(1, 1, 1, stmts(push(mul(peek(0), peek(0))), popStmt()))));
+    SJ->add(std::move(Branch));
+  }
+  auto P = std::make_unique<Pipeline>("prog");
+  P->add(makeCountingSource());
+  P->add(std::move(SJ));
+  P->add(makePrinterSink());
+
+  PipelineOptions PO;
+  PO.Mode = OptMode::AutoSel;
+  PO.Exec.Eng = Engine::Compiled;
+  CompileResult R = compileStream(*P, PO);
+  ASSERT_NE(R.Program, nullptr);
+  EXPECT_GE(nestDepth(*R.Optimized), 16);
+
+  const size_t N = 1024;
+  CompiledExecutor E(R.Program);
+  E.tryRun(N).orDie();
+  std::vector<double> Compiled = E.printed();
+  ASSERT_GE(Compiled.size(), N);
+  Compiled.resize(N);
+  EXPECT_EQ(Compiled, collectOutputs(*R.Optimized, N, Engine::Dynamic));
 }
 
 } // namespace
