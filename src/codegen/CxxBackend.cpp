@@ -7,36 +7,25 @@
 #include "support/RuntimeConfig.h"
 #include "wir/CxxEmit.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fcntl.h>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <spawn.h>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 
 using namespace slin;
 using namespace slin::codegen;
 
 namespace {
-
-/// Shell-quotes \p S for the std::system command line (single quotes,
-/// with embedded quotes spliced).
-std::string shQuote(const std::string &S) {
-  std::string Out = "'";
-  for (char C : S) {
-    if (C == '\'')
-      Out += "'\\''";
-    else
-      Out += C;
-  }
-  Out += "'";
-  return Out;
-}
-
-bool runsOk(int Rc) { return Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0; }
 
 bool writeTextFile(const std::string &Path, const std::string &Text) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
@@ -76,13 +65,66 @@ std::string stderrExcerpt(const std::string &Path) {
   return S;
 }
 
-/// The generated TU's preamble: the NativeCtx ABI mirror, libm
-/// declarations (no headers — the TU is fully self-contained), and the
-/// failure helpers the tape emitter calls. Built with -fno-builtin so
+/// One out-of-process $CXX run: the child's pid, or the reason it could
+/// not be started.
+struct Job {
+  pid_t Pid = -1;
+  int SpawnErr = 0;
+  std::string LogPath;
+};
+
+/// Starts \p Argv without a shell: Argv[0] is searched on PATH when it
+/// has no slash (as the shell would), stdin reads /dev/null, and stdout
+/// and stderr go to \p LogPath.
+Job spawnJob(const std::vector<std::string> &Argv, std::string LogPath) {
+  Job J;
+  J.LogPath = std::move(LogPath);
+  std::vector<char *> Args;
+  for (const std::string &A : Argv)
+    Args.push_back(const_cast<char *>(A.c_str()));
+  Args.push_back(nullptr);
+  posix_spawn_file_actions_t Fa;
+  posix_spawn_file_actions_init(&Fa);
+  posix_spawn_file_actions_addopen(&Fa, 0, "/dev/null", O_RDONLY, 0);
+  posix_spawn_file_actions_addopen(&Fa, 2, J.LogPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  posix_spawn_file_actions_adddup2(&Fa, 2, 1);
+  J.SpawnErr =
+      posix_spawnp(&J.Pid, Args[0], &Fa, nullptr, Args.data(), environ);
+  posix_spawn_file_actions_destroy(&Fa);
+  if (J.SpawnErr)
+    J.Pid = -1;
+  return J;
+}
+
+/// Waits for \p J's child, and only for it (the host process may have
+/// children of its own). Returns the failure reason, empty when the job
+/// ran and exited 0.
+std::string reapJob(const Job &J) {
+  if (J.Pid < 0)
+    return std::string("cannot run: ") + std::strerror(J.SpawnErr);
+  int Status = 0;
+  while (::waitpid(J.Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return std::string("waitpid: ") + std::strerror(errno);
+  if (WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+    return std::string();
+  std::string Detail = stderrExcerpt(J.LogPath);
+  if (!Detail.empty())
+    return Detail;
+  return WIFSIGNALED(Status)
+             ? "killed by signal " + std::to_string(WTERMSIG(Status))
+             : "exit status " + std::to_string(WEXITSTATUS(Status));
+}
+
+/// Every part's preamble: the NativeCtx ABI mirror, libm declarations
+/// (no headers — each part is fully self-contained), and the failure
+/// helpers the tape emitter calls; \p DefinesAbi adds the one
+/// slin_abi_version_ definition (part 0). Built with -fno-builtin so
 /// the compiler cannot constant-fold a libm call with its own (possibly
 /// differently-rounded) implementation — every sin/fmod/lround resolves
 /// at runtime to the same libm the interpreter calls.
-std::string preamble() {
+std::string preamble(bool DefinesAbi) {
   std::string P;
   P += "// Generated by slin native codegen (scheme v" +
        std::to_string(codegenVersion()) + "). Do not edit.\n";
@@ -137,7 +179,8 @@ std::string preamble() {
        "\n";
   // Brace form: `extern "C" unsigned x = N;` is a definition that
   // compilers warn about ("initialized and declared 'extern'").
-  P += "extern \"C\" { unsigned slin_abi_version_ = " +
+  if (DefinesAbi)
+    P += "extern \"C\" { unsigned slin_abi_version_ = " +
        std::to_string(codegenVersion()) + "u; }\n\n";
   return P;
 }
@@ -158,56 +201,75 @@ std::string slin::codegen::discoverCompiler() {
   static std::once_flag Once;
   static std::string Found;
   std::call_once(Once, [] {
+    // The bare name is returned: spawning searches PATH the same way.
+    const char *Env = std::getenv("PATH");
+    std::string Path = Env ? Env : "/bin:/usr/bin";
     for (const char *C : {"c++", "g++", "clang++"}) {
-      std::string Cmd =
-          std::string("command -v ") + C + " >/dev/null 2>&1";
-      if (runsOk(std::system(Cmd.c_str()))) {
-        Found = C;
-        return;
+      for (size_t At = 0; At <= Path.size();) {
+        size_t End = std::min(Path.find(':', At), Path.size());
+        std::string Dir = End == At ? "." : Path.substr(At, End - At);
+        if (::access((Dir + "/" + C).c_str(), X_OK) == 0) {
+          Found = C;
+          return;
+        }
+        At = End + 1;
       }
     }
   });
   return Found;
 }
 
-std::string slin::codegen::nativeCompileFlags() {
+std::vector<std::string> slin::codegen::nativeCompileFlags() {
   // -ffp-contract=off and -fno-builtin are bit-identity requirements
   // (no FMA contraction, no compile-time libm folding); everything else
-  // is plain optimized shared-object compilation.
-  return "-O3 -march=native -ffp-contract=off -fno-builtin -fPIC -shared "
-         "-std=c++17 -x c++";
+  // is plain optimized position-independent compilation.
+  return {"-O3", "-march=native", "-ffp-contract=off", "-fno-builtin",
+          "-fPIC", "-std=c++17", "-x", "c++"};
+}
+
+unsigned slin::codegen::nativeJobLimit() {
+  return std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
 }
 
 int slin::codegen::emitProgramSource(const CompiledProgram &P,
-                                     std::string &Src) {
-  // Tape bodies are emitted once per distinct text (shape), numbered in
-  // order of first appearance; each node's entry point is a trampoline
-  // that passes its own constant table to its shape.
+                                     std::vector<std::string> &Parts,
+                                     unsigned MaxParts) {
+  // A unit is what one part compiles whole: a shape (a tape body,
+  // emitted once per distinct text and numbered in order of first
+  // appearance) or a batch kernel. Each piece of per-node text (a
+  // constant table plus the trampoline that passes it to its shape, or
+  // the kernel itself) belongs to one unit and goes where it goes.
   std::map<std::string, size_t> ShapeIds;
-  std::string Shapes, Nodes;
+  std::vector<std::string> Bodies; // per unit; empty for batch kernels
+  std::vector<size_t> Weight;      // per unit: its body's text length
+  std::vector<std::pair<size_t, std::string>> Pieces; // {unit, text}
   int Emitted = 0;
   auto EmitTape = [&](const wir::OpProgram &T, const std::string &Fn) {
     std::vector<double> Consts;
     std::string Body;
     if (!wir::CxxTapeEmitter::emit(T, Consts, Body))
       return false;
-    auto Ins = ShapeIds.emplace(std::move(Body), ShapeIds.size());
-    std::string Shape = "slin_s" + std::to_string(Ins.first->second);
-    if (Ins.second)
-      Shapes += "SLIN_SHAPE_ void " + Shape + Ins.first->first + "\n";
-    std::string Table = "nullptr";
+    auto Ins = ShapeIds.emplace(std::move(Body), Bodies.size());
+    size_t Unit = Ins.first->second;
+    std::string Shape = "slin_s" + std::to_string(Unit);
+    if (Ins.second) {
+      Bodies.push_back("SLIN_SHAPE_ void " + Shape + Ins.first->first + "\n");
+      Weight.push_back(Bodies.back().size());
+    }
+    std::string Text, Table = "nullptr";
     if (!Consts.empty()) {
       Table = Fn + "_c";
-      Nodes += "static constexpr double " + Table + "[] = {";
+      Text += "static constexpr double " + Table + "[] = {";
       for (size_t I = 0; I != Consts.size(); ++I)
-        Nodes += std::string(I % 4 ? " " : "\n  ") +
-                 wir::cxxDoubleLiteral(Consts[I]) + ",";
-      Nodes += "\n};\n";
+        Text += std::string(I % 4 ? " " : "\n  ") +
+                wir::cxxDoubleLiteral(Consts[I]) + ",";
+      Text += "\n};\n";
     }
-    Nodes += "extern \"C\" void " + Fn +
-             "(const SlinNativeCtx *Ctx, const double *In, double *Out, "
-             "long K) { " +
-             Shape + "(" + Table + ", Ctx, In, Out, K); }\n\n";
+    Text += "extern \"C\" void " + Fn +
+            "(const SlinNativeCtx *Ctx, const double *In, double *Out, "
+            "long K) { " +
+            Shape + "(" + Table + ", Ctx, In, Out, K); }\n\n";
+    Pieces.emplace_back(Unit, std::move(Text));
     ++Emitted;
     return true;
   };
@@ -219,8 +281,11 @@ int slin::codegen::emitProgramSource(const CompiledProgram &P,
     const CompiledProgram::FilterArtifact &A = P.filterArtifact(I);
     std::string Base = "slin_f" + std::to_string(I);
     if (A.Native) {
-      if (A.Native->emitBatchCxx(Nodes, Base + "_batch")) {
-        Nodes += "\n";
+      std::string Kernel;
+      if (A.Native->emitBatchCxx(Kernel, Base + "_batch")) {
+        Bodies.emplace_back();
+        Weight.push_back(Kernel.size());
+        Pieces.emplace_back(Bodies.size() - 1, Kernel + "\n");
         ++Emitted;
       }
       continue;
@@ -228,7 +293,31 @@ int slin::codegen::emitProgramSource(const CompiledProgram &P,
     if (EmitTape(A.Work, Base) && !A.InitWork.empty())
       EmitTape(A.InitWork, Base + "_init");
   }
-  Src = preamble() + Shapes + Nodes;
+
+  // Largest unit first, each to the least-loaded part (ties: the lower
+  // unit, the lower part): the parts' loads come out close, and the
+  // split is a function of the program alone.
+  size_t NumParts = std::min<size_t>(std::max(1u, MaxParts), Bodies.size());
+  std::vector<size_t> Order(Bodies.size()), PartOf(Bodies.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](size_t A, size_t B) { return Weight[A] > Weight[B]; });
+  std::vector<size_t> Load(NumParts, 0);
+  for (size_t U : Order) {
+    size_t Min = std::min_element(Load.begin(), Load.end()) - Load.begin();
+    PartOf[U] = Min;
+    Load[Min] += Weight[U];
+  }
+
+  // Each part: the preamble, its shapes in unit order, then its per-node
+  // text in node order.
+  Parts.assign(std::max<size_t>(NumParts, 1), std::string());
+  for (size_t Part = 0; Part != Parts.size(); ++Part)
+    Parts[Part] = preamble(Part == 0);
+  for (size_t U = 0; U != Bodies.size(); ++U)
+    Parts[PartOf[U]] += Bodies[U];
+  for (const auto &[Unit, Text] : Pieces)
+    Parts[PartOf[Unit]] += Text;
   return Emitted;
 }
 
@@ -242,13 +331,14 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
     return R;
   }
 
-  std::string Src;
-  if (emitProgramSource(P, Src) == 0) {
+  std::vector<std::string> Parts;
+  if (emitProgramSource(P, Parts, nativeJobLimit()) == 0) {
     R.Error = "program has no native-codegen-eligible filters";
     return R;
   }
 
-  // Scratch directory for the source (and the object, when no store).
+  // Scratch directory for the sources, objects and compiler logs (and
+  // the linked object, when no store).
   const char *TmpEnv = std::getenv("TMPDIR");
   std::string Templ = std::string(TmpEnv && *TmpEnv ? TmpEnv : "/tmp") +
                       "/slin-native-XXXXXX";
@@ -259,12 +349,14 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
     return R;
   }
   std::string Scratch = Buf.data();
-  std::string SrcPath = Scratch + "/program.cpp";
-  std::string CcErrPath = Scratch + "/cc.err";
+  auto PartPath = [&](size_t Part, const char *Ext) {
+    return Scratch + "/part" + std::to_string(Part) + Ext;
+  };
+  std::string LinkLog = Scratch + "/link.err";
 
-  // When publishing, compile straight into the store directory under
-  // the store's own `.tmp.<pid>.<seq>` discipline (its stale-tmp sweep
-  // then covers objects from crashed compiles too).
+  // When publishing, link straight into the store directory under the
+  // store's own `.tmp.<pid>.<seq>` discipline (its stale-tmp sweep then
+  // covers objects from crashed builds too).
   static std::atomic<uint64_t> Seq{0};
   std::string Obj;
   bool Publish = Store != nullptr;
@@ -282,40 +374,60 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
   auto Cleanup = [&](bool RemoveObj) {
     if (RemoveObj)
       ::unlink(Obj.c_str());
-    ::unlink(SrcPath.c_str());
-    ::unlink(CcErrPath.c_str());
+    for (size_t Part = 0; Part != Parts.size(); ++Part)
+      for (const char *Ext : {".cpp", ".o", ".err"})
+        ::unlink(PartPath(Part, Ext).c_str());
+    ::unlink(LinkLog.c_str());
     ::rmdir(Scratch.c_str());
   };
 
-  if (!writeTextFile(SrcPath, Src)) {
-    R.Error = "write generated source: " + SrcPath;
-    Cleanup(false);
-    return R;
-  }
-
-  // A ccache shim named by SLIN_CXX works unchanged.
-  std::string Cmd = shQuote(Cxx) + " " + nativeCompileFlags() + " " +
-                    shQuote(SrcPath) + " -o " + shQuote(Obj) + " 2>" +
-                    shQuote(CcErrPath);
-  R.CompilerRan = true;
-  bool CcOk;
-  if (faults::shouldFail(faults::Point::CodegenCcFail)) {
-    CcOk = false;
-    R.Error = "native compile failed: injected compiler failure";
-  } else {
-    CcOk = runsOk(std::system(Cmd.c_str()));
-    if (!CcOk) {
-      std::string Detail = stderrExcerpt(CcErrPath);
-      R.Error = "native compile failed (" + Cxx + ")";
-      if (!Detail.empty())
-        R.Error += ": " + Detail;
+  for (size_t Part = 0; Part != Parts.size(); ++Part)
+    if (!writeTextFile(PartPath(Part, ".cpp"), Parts[Part])) {
+      R.Error = "write generated source: " + PartPath(Part, ".cpp");
+      Cleanup(false);
+      return R;
     }
-  }
-  if (!CcOk) {
+
+  R.CompilerRan = true;
+  auto Failed = [&](const std::string &Stage, const std::string &Why) {
     R.CompileFailed = true;
+    R.Error = "native " + Stage + " failed (" + Cxx + "): " + Why;
     Cleanup(true);
     return R;
+  };
+  if (faults::shouldFail(faults::Point::CodegenCcFail))
+    return Failed("compile", "injected compiler failure");
+
+  // Every part compiles at once; each job is reaped before anything
+  // returns, and the first failing part (in part order) is quoted. A
+  // ccache shim named by SLIN_CXX works unchanged.
+  std::vector<Job> Jobs;
+  for (size_t Part = 0; Part != Parts.size(); ++Part) {
+    std::vector<std::string> Argv = {Cxx};
+    for (std::string &F : nativeCompileFlags())
+      Argv.push_back(std::move(F));
+    Argv.insert(Argv.end(), {"-c", PartPath(Part, ".cpp"), "-o",
+                             PartPath(Part, ".o")});
+    Jobs.push_back(spawnJob(Argv, PartPath(Part, ".err")));
   }
+  std::string CompileErr;
+  for (const Job &J : Jobs) {
+    std::string Why = reapJob(J);
+    if (CompileErr.empty())
+      CompileErr = Why;
+  }
+  if (!CompileErr.empty())
+    return Failed("compile", CompileErr);
+
+  // Link only what emitted code calls: libm, libc and libgcc's helpers,
+  // no C++ runtime.
+  std::vector<std::string> Argv = {Cxx, "-shared", "-nodefaultlibs"};
+  for (size_t Part = 0; Part != Parts.size(); ++Part)
+    Argv.push_back(PartPath(Part, ".o"));
+  Argv.insert(Argv.end(), {"-lm", "-lc", "-lgcc", "-o", Obj});
+  std::string LinkErr = reapJob(spawnJob(Argv, LinkLog));
+  if (!LinkErr.empty())
+    return Failed("link", LinkErr);
 
   // dlopen the object *before* publishing: the mapping survives both
   // the rename into place and a failed publish's unlink, so a store

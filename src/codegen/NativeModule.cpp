@@ -14,7 +14,7 @@
 using namespace slin;
 using namespace slin::codegen;
 
-uint32_t slin::codegen::codegenVersion() { return 2; }
+uint32_t slin::codegen::codegenVersion() { return 3; }
 
 //===----------------------------------------------------------------------===//
 // NativeModule

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// The native half of Engine::Native: a CompiledProgram's op tapes (and
-/// willing native-filter batch kernels) lowered to one C++ translation
-/// unit (codegen/CxxBackend.h), compiled out-of-process into a shared
-/// object, and dlopen'd here. A NativeModule is the loaded library plus
+/// willing native-filter batch kernels) lowered to C++ translation units
+/// (codegen/CxxBackend.h), compiled out-of-process and linked into one
+/// shared object, and dlopen'd here. A NativeModule is the loaded library plus
 /// the per-flat-node function table; CompiledExecutor calls these
 /// functions instead of the tape dispatch loop when one is attached.
 ///
@@ -48,7 +48,7 @@ class CompiledProgram;
 namespace codegen {
 
 /// Host services passed to every emitted work function. Mirrored in the
-/// generated TU's preamble as `SlinNativeCtx` — a layout-matched POD; any
+/// generated parts' preamble as `SlinNativeCtx` — a layout-matched POD; any
 /// change here must bump codegenVersion() and the preamble together.
 struct NativeCtx {
   double *const *Fld;   ///< per-field data pointers (WorkFrame::FldPtrs)
@@ -79,7 +79,9 @@ struct NodeFns {
 /// Bumped whenever the emitted source, the NativeCtx ABI, the symbol
 /// naming scheme or the build flags change: cached objects from older
 /// schemes become plain misses. Scheme 2: each tape body is emitted once
-/// per shape and reads its constants from per-node tables.
+/// per shape and reads its constants from per-node tables. Scheme 3: a
+/// program compiles as up to four parts linked into one object without
+/// the C++ runtime (-nodefaultlibs ... -lm -lc -lgcc).
 uint32_t codegenVersion();
 
 /// A loaded shared object plus its node function table. Immutable;
@@ -135,7 +137,7 @@ public:
     uint64_t MemHits = 0;   ///< served from the in-process map
     uint64_t Misses = 0;    ///< had to consult disk or build
     uint64_t DiskHits = 0;  ///< dlopened a stored .so (zero codegen)
-    uint64_t Compiles = 0;  ///< out-of-process compiler invocations
+    uint64_t Compiles = 0;  ///< out-of-process builds (one per program)
     uint64_t CompileFailures = 0;
     uint64_t DlopenFailures = 0;
     uint64_t Degrades = 0;  ///< get() calls answered null

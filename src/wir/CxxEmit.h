@@ -9,7 +9,7 @@
 /// proven-integral cast), bounds checks with the same diagnostic strings,
 /// the Halt rate check, and per-firing register / local-array zeroing all
 /// match, so a native run is bit-identical to the op-tape interpreter
-/// (the generated TU is compiled with -ffp-contract=off, so no FMA
+/// (every generated part is compiled with -ffp-contract=off, so no FMA
 /// contraction can change rounding).
 ///
 /// The tape's constants (Const and AddImm immediates) are not spelled in
@@ -24,7 +24,8 @@
 ///
 /// Emitted text: the parameter list and body, without a name — the
 /// caller prepends the declarator (the NativeCtx ABI is defined in
-/// codegen/NativeModule.h and replicated in the generated TU's preamble):
+/// codegen/NativeModule.h and replicated in every generated part's
+/// preamble):
 ///
 ///     (const double *__restrict Cst, const SlinNativeCtx *Ctx,
 ///      const double *In, double *Out, long K) { ... }

@@ -8,7 +8,9 @@
 // toolchain (SLIN_CXX=/nonexistent) and under SLIN_NO_NATIVE, compile
 // failure reasons that quote the error, one emitted body per tape shape
 // (exact counts, Radar included), constant tables that keep awkward
-// doubles bit-exact, warning-free emitted units, the
+// doubles bit-exact, warning-free emitted parts, the split build (shapes
+// partitioned across concurrently compiled parts linked into one .so,
+// and a failing part that leaves no child process or file behind), the
 // pipeline's native-codegen pass bookkeeping, and FLOP-count preservation
 // (counting runs fall back to the tapes, so Engine::Native reports the
 // interpreter's numbers).
@@ -33,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -233,6 +236,14 @@ size_t occurrences(const std::string &Text, const std::string &Needle) {
   return N;
 }
 
+/// All of a program's parts as one text, for counts across parts.
+std::string joined(const std::vector<std::string> &Parts) {
+  std::string All;
+  for (const std::string &Part : Parts)
+    All += Part;
+  return All;
+}
+
 /// Emitted shape bodies and extern "C" entry points in \p Src.
 size_t shapeCount(const std::string &Src) {
   return occurrences(Src, "SLIN_SHAPE_ void slin_s");
@@ -396,8 +407,10 @@ TEST(CxxBackend, FiltersDifferingOnlyInConstantsShareOneShape) {
   const int N = 6;
   StreamPtr Root = coefficientVariantsPipeline(N);
   CompiledProgramRef P = makeProgram(*Root);
-  std::string Src;
-  EXPECT_EQ(codegen::emitProgramSource(*P, Src), N);
+  std::vector<std::string> Parts;
+  EXPECT_EQ(codegen::emitProgramSource(*P, Parts, 4), N);
+  ASSERT_EQ(Parts.size(), 1u); // one shape: nothing to split
+  const std::string &Src = Parts[0];
   EXPECT_EQ(shapeCount(Src), 1u) << Src;
   EXPECT_EQ(entryPointCount(Src), static_cast<size_t>(N));
   for (int I = 0; I != N; ++I)
@@ -412,13 +425,197 @@ TEST(CxxBackend, RadarEmitsEightShapesForFiftyEntryPoints) {
   for (const auto &[Name, P] : autoSelApps()) {
     if (Name != "Radar")
       continue;
-    std::string Src;
-    EXPECT_EQ(codegen::emitProgramSource(*P, Src), 50);
+    std::vector<std::string> Parts;
+    EXPECT_EQ(codegen::emitProgramSource(*P, Parts, 4), 50);
+    std::string Src = joined(Parts);
     EXPECT_EQ(shapeCount(Src), 8u);
     EXPECT_EQ(entryPointCount(Src), 50u);
     return;
   }
   FAIL() << "no Radar benchmark";
+}
+
+//===----------------------------------------------------------------------===//
+// The split build: shapes across concurrently compiled parts, one .so
+//===----------------------------------------------------------------------===//
+
+/// The AutoSel program of the app named \p Name (null when none).
+CompiledProgramRef autoSelApp(const std::string &Name) {
+  for (const auto &[N, P] : autoSelApps())
+    if (N == Name)
+      return P;
+  return nullptr;
+}
+
+/// Radar under AutoSel, compiled fresh (the optimized stream included).
+CompileResult radarAutoSel() {
+  for (const apps::BenchmarkEntry &B : apps::allBenchmarks())
+    if (B.Name == "Radar") {
+      StreamPtr Root = B.Build();
+      PipelineOptions PO;
+      PO.Mode = OptMode::AutoSel;
+      PO.Exec.Eng = Engine::Compiled;
+      PO.UseProgramCache = false;
+      return CompilerPipeline(PO).tryCompile(*Root).orDie();
+    }
+  ADD_FAILURE() << "no Radar benchmark";
+  return CompileResult();
+}
+
+TEST(CxxBackend, RadarSplitsIntoFourSelfContainedParts) {
+  CompiledProgramRef P = autoSelApp("Radar");
+  ASSERT_NE(P, nullptr);
+  std::vector<std::string> Parts, Again;
+  EXPECT_EQ(codegen::emitProgramSource(*P, Parts, 4), 50);
+  EXPECT_EQ(codegen::emitProgramSource(*P, Again, 4), 50);
+  EXPECT_EQ(Parts, Again); // the split is a function of the program
+  ASSERT_EQ(Parts.size(), 4u);
+
+  // One ABI symbol, in part 0; every part carries the preamble.
+  EXPECT_EQ(occurrences(joined(Parts), "slin_abi_version_"), 1u);
+  EXPECT_NE(Parts[0].find("slin_abi_version_"), std::string::npos);
+  for (const std::string &Part : Parts) {
+    EXPECT_NE(Part.find("struct SlinNativeCtx"), std::string::npos);
+    EXPECT_GT(shapeCount(Part), 0u);
+  }
+
+  // Each shape is defined in exactly one part, and every trampoline
+  // into it sits in that part too: no symbol crosses a part.
+  size_t Trampolines = 0;
+  for (size_t J = 0; J != 8; ++J) {
+    std::string Shape = "slin_s" + std::to_string(J);
+    size_t Home = Parts.size();
+    for (size_t K = 0; K != Parts.size(); ++K) {
+      if (Parts[K].find("SLIN_SHAPE_ void " + Shape + "(") ==
+          std::string::npos) {
+        EXPECT_EQ(occurrences(Parts[K], Shape + "("), 0u)
+            << Shape << " is called from part " << K;
+        continue;
+      }
+      EXPECT_EQ(Home, Parts.size()) << Shape << " is defined twice";
+      Home = K;
+      Trampolines += occurrences(Parts[K], Shape + "(") - 1;
+    }
+    EXPECT_NE(Home, Parts.size()) << Shape << " is not defined";
+  }
+  EXPECT_EQ(Trampolines, 50u);
+}
+
+TEST(NativeCodegen, RadarSplitBuildIsOneModuleBitIdenticalToDynamic) {
+  if (!haveToolchain())
+    GTEST_SKIP() << "no C++ toolchain available";
+  NativeGuard NG;
+  CompileResult R = radarAutoSel();
+  ASSERT_NE(R.Program, nullptr);
+  std::string Tmp = (std::filesystem::temp_directory_path() /
+                     ("slin-codegen-split-" + std::to_string(::getpid())))
+                        .string();
+  std::filesystem::create_directories(Tmp);
+
+  std::string Reason;
+  codegen::NativeModuleRef M;
+  {
+    EnvGuard TD("TMPDIR", Tmp.c_str());
+    M = codegen::NativeModuleCache::global().get(*R.Program, &Reason);
+  }
+  // No job is left running and no scratch file is left behind.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  EXPECT_TRUE(std::filesystem::is_empty(Tmp));
+  std::filesystem::remove_all(Tmp);
+  ASSERT_NE(M, nullptr) << Reason;
+  size_t Resolved = 0;
+  for (size_t I = 0; I != R.Program->graph().Nodes.size(); ++I) {
+    const codegen::NodeFns &F = M->node(I);
+    Resolved += (F.Work != nullptr) + (F.Init != nullptr) +
+                (F.Batch != nullptr);
+  }
+  EXPECT_EQ(Resolved, 50u);
+  // One build, however many $CXX jobs it ran.
+  EXPECT_EQ(codegen::NativeModuleCache::global().stats().Compiles, 1u);
+
+  auto Native = runWith(R.Program, M, 1024);
+  ASSERT_EQ(Native.size(), 1024u);
+  EXPECT_EQ(Native, collectOutputs(*R.Optimized, 1024, Engine::Dynamic));
+}
+
+TEST(NativeCodegen, FailingPartDegradesAndLeavesNothingBehind) {
+  // A stand-in compiler that refuses the parts defining slin_s1 or
+  // slin_s2 and takes its time over the others: the build must quote the
+  // first refused part in part order, wait for every job, and leave no
+  // child, scratch file or store temp. Split four ways, slin_s2 (the
+  // largest shape) opens part 0 and slin_s1 sits in the last part, so
+  // jobs are still running when the first failure is reaped.
+  NativeGuard NG;
+  CompiledProgramRef P = autoSelApp("Radar");
+  ASSERT_NE(P, nullptr);
+  std::vector<std::string> Parts;
+  codegen::emitProgramSource(*P, Parts, codegen::nativeJobLimit());
+  std::vector<size_t> Refused;
+  for (size_t K = 0; K != Parts.size(); ++K)
+    if (Parts[K].find("slin_s1(") != std::string::npos ||
+        Parts[K].find("slin_s2(") != std::string::npos)
+      Refused.push_back(K);
+  ASSERT_FALSE(Refused.empty());
+
+  std::filesystem::path Base = std::filesystem::temp_directory_path();
+  std::string Tag = std::to_string(::getpid());
+  std::string Script = (Base / ("slin-fake-cxx-part-" + Tag + ".sh")).string();
+  std::string Tmp = (Base / ("slin-codegen-tmpdir-" + Tag)).string();
+  std::filesystem::create_directories(Tmp);
+  {
+    std::ofstream Out(Script);
+    Out << "#!/bin/sh\n"
+           "out=; src=; prev=\n"
+           "for a in \"$@\"; do\n"
+           "  case \"$prev\" in -o) out=$a;; esac\n"
+           "  case \"$a\" in *.cpp) src=$a;; esac\n"
+           "  prev=$a\n"
+           "done\n"
+           "if grep -q 'slin_s[12](' \"$src\"; then\n"
+           "  echo \"$src: error: refusing this part\" >&2\n"
+           "  exit 1\n"
+           "fi\n"
+           "sleep 0.3\n"
+           ": > \"$out\"\n";
+  }
+  std::filesystem::permissions(Script, std::filesystem::perms::owner_all);
+
+  StoreGuard SG;
+  {
+    EnvGuard CXX("SLIN_CXX", Script.c_str());
+    EnvGuard TD("TMPDIR", Tmp.c_str());
+    std::string Reason;
+    EXPECT_EQ(codegen::NativeModuleCache::global().get(*P, &Reason), nullptr);
+    EXPECT_NE(Reason.find("/part" + std::to_string(Refused[0]) +
+                          ".cpp: error: refusing this part"),
+              std::string::npos)
+        << Reason;
+    for (size_t I = 1; I != Refused.size(); ++I)
+      EXPECT_EQ(Reason.find("/part" + std::to_string(Refused[I]) + ".cpp"),
+                std::string::npos)
+          << Reason;
+  }
+  auto S = codegen::NativeModuleCache::global().stats();
+  EXPECT_EQ(S.Compiles, 1u);
+  EXPECT_EQ(S.CompileFailures, 1u);
+
+  // Every job was reaped: this process has no child left.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  // The mkdtemp scratch directory is gone, and the store holds no
+  // temporary object.
+  EXPECT_TRUE(std::filesystem::is_empty(Tmp));
+  std::error_code EC;
+  for (auto It = std::filesystem::directory_iterator(SG.dir(), EC);
+       !EC && It != std::filesystem::directory_iterator(); ++It)
+    EXPECT_EQ(It->path().filename().string().find(".tmp."),
+              std::string::npos)
+        << It->path();
+  std::filesystem::remove_all(Tmp, EC);
+  std::filesystem::remove(Script, EC);
 }
 
 TEST(NativeCodegen, AwkwardConstantsStayBitExactThroughTheTables) {
@@ -431,8 +628,9 @@ TEST(NativeCodegen, AwkwardConstantsStayBitExactThroughTheTables) {
   // The tables are constexpr, so a NaN or Inf entry that is not a
   // constant expression fails the compile rather than adding a dynamic
   // initialiser; the non-finite ones go through the preamble's helper.
-  std::string Src;
-  ASSERT_GT(codegen::emitProgramSource(*P, Src), 0);
+  std::vector<std::string> Parts;
+  ASSERT_GT(codegen::emitProgramSource(*P, Parts, 4), 0);
+  std::string Src = joined(Parts);
   EXPECT_NE(Src.find("static constexpr double slin_f1_c[]"),
             std::string::npos);
   EXPECT_EQ(occurrences(Src, "slin_bits_(0x"), 2u * 2u) << Src;
@@ -470,21 +668,27 @@ TEST(NativeCodegen, EmittedUnitsCompileWithoutWarnings) {
        ("slin-codegen-syntax-" + std::to_string(::getpid())))
           .string();
   std::filesystem::create_directories(Dir);
+  std::string Flags;
+  for (const std::string &F : codegen::nativeCompileFlags())
+    Flags += " " + F;
+  // Split four ways, so every part boundary is compiled as well.
   for (const auto &[Name, P] : Programs) {
-    std::string Src;
-    ASSERT_GT(codegen::emitProgramSource(*P, Src), 0) << Name;
-    std::string Path = Dir + "/" + Name + ".cpp", Err = Dir + "/cc.err";
-    std::ofstream(Path) << Src;
-    std::string Cmd = "'" + codegen::discoverCompiler() +
-                      "' -fsyntax-only -Werror " +
-                      codegen::nativeCompileFlags() + " '" + Path +
-                      "' 2>'" + Err + "'";
-    int Rc = std::system(Cmd.c_str());
-    std::ifstream ErrIn(Err);
-    std::string Diag((std::istreambuf_iterator<char>(ErrIn)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_TRUE(Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0)
-        << Name << ": " << Diag;
+    std::vector<std::string> Parts;
+    ASSERT_GT(codegen::emitProgramSource(*P, Parts, 4), 0) << Name;
+    for (size_t K = 0; K != Parts.size(); ++K) {
+      std::string Path = Dir + "/" + Name + std::to_string(K) + ".cpp",
+                  Err = Dir + "/cc.err";
+      std::ofstream(Path) << Parts[K];
+      std::string Cmd = "'" + codegen::discoverCompiler() +
+                        "' -fsyntax-only -Werror" + Flags + " '" + Path +
+                        "' 2>'" + Err + "'";
+      int Rc = std::system(Cmd.c_str());
+      std::ifstream ErrIn(Err);
+      std::string Diag((std::istreambuf_iterator<char>(ErrIn)),
+                       std::istreambuf_iterator<char>());
+      EXPECT_TRUE(Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0)
+          << Name << " part " << K << ": " << Diag;
+    }
   }
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);
