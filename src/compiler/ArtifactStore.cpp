@@ -692,13 +692,7 @@ bool isStaleTmp(const DirEntry &E, int64_t Now) {
 
 uint32_t ArtifactStore::formatVersion() { return FormatVersion; }
 
-uint32_t ArtifactStore::buildFlags() {
-#if defined(SLIN_COUNT_OPS) && SLIN_COUNT_OPS == 0
-  return 0;
-#else
-  return 1; // op accounting compiled in
-#endif
-}
+uint32_t ArtifactStore::buildFlags() { return 1; }
 
 ArtifactStore::ArtifactStore(std::string Directory)
     : Dir(std::move(Directory)) {

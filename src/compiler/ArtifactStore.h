@@ -159,9 +159,10 @@ public:
   /// plain misses (never mis-parsed: the header is checked first).
   static uint32_t formatVersion();
 
-  /// Build-configuration word mixed into the key (currently whether op
-  /// accounting is compiled in — tapes run identically either way, but
-  /// artifacts are kept per-configuration by policy).
+  /// Build-configuration word written into every header and file name:
+  /// the constant 1, which every existing store's files carry, so those
+  /// stores keep hitting. Loads reject a file carrying any other word,
+  /// since store files come from outside the program.
   static uint32_t buildFlags();
 
   /// Artifact file path for \p K (for tests that corrupt/patch files).

@@ -62,8 +62,12 @@ public:
   /// Instantiates runtime state over a shared artifact.
   explicit CompiledExecutor(CompiledProgramRef Program);
 
-  /// Same, with a native module pre-attached (the Engine::Native serving
-  /// path; null \p Native is the plain op-tape executor).
+  /// Same, with a dlopen'd native module attached (codegen/NativeModule.h;
+  /// the Engine::Native path; null \p Native is the plain op-tape
+  /// executor): filters with an emitted entry point then run machine code
+  /// instead of the op-tape dispatch loop (bit-identical by construction).
+  /// Counting runs still take the tapes — emitted code does no
+  /// accounting, and FLOP numbers must keep their interpreter meaning.
   CompiledExecutor(CompiledProgramRef Program, codegen::NativeModuleRef Native)
       : CompiledExecutor(std::move(Program)) {
     NativeMod = std::move(Native);
@@ -147,18 +151,6 @@ public:
 
   /// The shared artifact this instance runs.
   const CompiledProgram &program() const { return *Prog; }
-
-  /// Attaches a dlopen'd native module (codegen/NativeModule.h): filters
-  /// with an emitted entry point then run machine code instead of the
-  /// op-tape dispatch loop (bit-identical by construction). Counting
-  /// runs still take the tapes — emitted code does no accounting, and
-  /// FLOP numbers must keep their interpreter meaning. Null detaches.
-  void attachNativeModule(codegen::NativeModuleRef M) {
-    NativeMod = std::move(M);
-  }
-
-  /// The attached native module (null when running pure op tapes).
-  const codegen::NativeModuleRef &nativeModule() const { return NativeMod; }
 
 private:
   /// A flat channel buffer; live items occupy [Head, Tail). Compacted

@@ -123,22 +123,18 @@ void FFTPlan::transform(Complex *Data, bool Inverse) const {
 }
 
 void FFTPlan::forward(Complex *Data) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     transform<true>(Data, false);
     return;
   }
-#endif
   transform<false>(Data, false);
 }
 
 void FFTPlan::inverse(Complex *Data) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     transform<true>(Data, true);
     return;
   }
-#endif
   transform<false>(Data, true);
 }
 
@@ -183,12 +179,10 @@ void FFTPlan::forwardReal(const double *In, double *Out,
 
 void FFTPlan::forwardReal(const double *In, double *Out,
                           Complex *Scratch) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     forwardReal<true>(In, Out, Scratch);
     return;
   }
-#endif
   forwardReal<false>(In, Out, Scratch);
 }
 
@@ -229,12 +223,10 @@ void FFTPlan::inverseReal(const double *In, double *Out,
 
 void FFTPlan::inverseReal(const double *In, double *Out,
                           Complex *Scratch) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     inverseReal<true>(In, Out, Scratch);
     return;
   }
-#endif
   inverseReal<false>(In, Out, Scratch);
 }
 
@@ -259,12 +251,10 @@ void fft::multiplyHalfComplex(size_t N, const double *A, const double *B,
 
 void fft::multiplyHalfComplex(size_t N, const double *A, const double *B,
                               double *Out) {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     multiplyHalfComplex<true>(N, A, B, Out);
     return;
   }
-#endif
   multiplyHalfComplex<false>(N, A, B, Out);
 }
 

@@ -47,7 +47,6 @@ public:
 
   StreamKind kind() const { return Kind; }
   const std::string &name() const { return Name; }
-  void setName(std::string N) { Name = std::move(N); }
 
   /// Deep copy (native filters are cloned with fresh state).
   virtual StreamPtr clone() const = 0;
@@ -198,9 +197,6 @@ public:
   int initPopRate() const;
   int initPushRate() const;
   void setInitWork(wir::WorkFunction W) { InitWork = std::move(W); }
-
-  /// True for source filters (no input consumed or peeked, ever).
-  bool isSource() const { return peekRate() == 0 && popRate() == 0; }
 
   const wir::WorkFunction &work() const {
     assert(!isNative() && "native filter has no work IR");

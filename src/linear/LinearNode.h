@@ -44,17 +44,10 @@ public:
     return A.at(static_cast<size_t>(E - 1 - PeekIdx),
                 static_cast<size_t>(U - 1 - PushIdx));
   }
-  void setCoeff(int PeekIdx, int PushIdx, double V) {
-    A.at(static_cast<size_t>(E - 1 - PeekIdx),
-         static_cast<size_t>(U - 1 - PushIdx)) = V;
-  }
 
   /// Constant offset of push \p PushIdx (natural order).
   double offset(int PushIdx) const {
     return B[static_cast<size_t>(U - 1 - PushIdx)];
-  }
-  void setOffset(int PushIdx, double V) {
-    B[static_cast<size_t>(U - 1 - PushIdx)] = V;
   }
 
   /// The e x u coefficient matrix in natural orientation: entry (p, j)

@@ -59,12 +59,10 @@ void PackedLinearKernel::bandedImpl(const double *In, double *Out) const {
 }
 
 void PackedLinearKernel::applyBanded(const double *In, double *Out) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     bandedImpl<true>(In, Out);
     return;
   }
-#endif
   bandedImpl<false>(In, Out);
 }
 
@@ -135,12 +133,10 @@ void PackedLinearKernel::batchedImpl(const double *In, double *Out, int K,
 
 void PackedLinearKernel::applyBatched(const double *In, double *Out, int K,
                                       int PopStride) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     batchedImpl<true>(In, Out, K, PopStride);
     return;
   }
-#endif
   batchedImpl<false>(In, Out, K, PopStride);
 }
 
@@ -282,12 +278,10 @@ void TunedGemv::applyImpl(const double *In, double *Out) const {
 }
 
 void TunedGemv::apply(const double *In, double *Out) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     applyImpl<true>(In, Out);
     return;
   }
-#endif
   applyImpl<false>(In, Out);
 }
 
@@ -369,12 +363,10 @@ void TunedGemv::batchedImpl(const double *In, double *Out, int K,
 
 void TunedGemv::applyBatched(const double *In, double *Out, int K,
                              int PopStride) const {
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     batchedImpl<true>(In, Out, K, PopStride);
     return;
   }
-#endif
   batchedImpl<false>(In, Out, K, PopStride);
 }
 

@@ -30,7 +30,7 @@
 /// instantiation routes arithmetic through the op counters, for the
 /// paper's FLOP taxonomy tables, and the uncounted one is the ops-free
 /// fast path. Each public entry point reads ops::isCounting() once per
-/// call to choose; with SLIN_COUNT_OPS=0 it never picks the counted one.
+/// call to choose.
 /// applyDense, a model of the naive generated code that no engine calls,
 /// always counts.
 ///

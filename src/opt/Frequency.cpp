@@ -94,11 +94,9 @@ public:
   void fire(wir::Tape &T) override {
     gatherWindow(T);
     auto Push = [&T](double V) { T.push(V); };
-#if SLIN_COUNT_OPS
     if (ops::isCounting())
       fireWindow<true>(Window.data(), Push);
     else
-#endif
       fireWindow<false>(Window.data(), Push);
     for (int I = 0, Pop = popRate(); I != Pop; ++I)
       T.pop();
@@ -108,23 +106,19 @@ public:
     assert(Optimized && "init firing on a naive frequency filter");
     gatherWindow(T);
     auto Push = [&T](double V) { T.push(V); };
-#if SLIN_COUNT_OPS
     if (ops::isCounting())
       initWindow<true>(Window.data(), Push);
     else
-#endif
       initWindow<false>(Window.data(), Push);
     for (int I = 0; I != R; ++I)
       T.pop();
   }
 
   bool fireBatch(const double *In, double *Out, int K) override {
-#if SLIN_COUNT_OPS
     if (ops::isCounting()) {
       fireBatchImpl<true>(In, Out, K);
       return true;
     }
-#endif
     fireBatchImpl<false>(In, Out, K);
     return true;
   }

@@ -100,7 +100,6 @@ public:
   /// Cancelled once it is set.
   void setCancelFlag(const std::atomic<bool> *Flag) { Cancel = Flag; }
 
-  bool hasDeadline() const { return Limited; }
   bool cancelled() const {
     return Cancel && Cancel->load(std::memory_order_relaxed);
   }

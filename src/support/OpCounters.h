@@ -25,23 +25,20 @@
 #include <cmath>
 #include <cstdint>
 
-/// Compile-time kill switch for the accounting layer (cmake
-/// -DSLIN_COUNT_OPS=OFF). When 0, the counted helpers below compile to
-/// raw arithmetic, isCounting() is constant-false, and the kernels' entry
-/// points never select their counted instantiations.
-/// The default build keeps accounting available; timing runs still avoid
-/// its cost at runtime. The runtime's hot loops — op tapes
-/// (wir/OpTape.cpp), matrix kernels (matrix/Kernels.cpp), the planned FFT
-/// (fft/FFT.cpp) and the frequency filter (opt/Frequency.cpp) — are
-/// templates on a counted flag (all but the op tapes written with the
-/// add/sub/mul/fma<Counted> helpers below), and each public entry point
-/// reads isCounting() once per call to pick the instantiation. Code
+/// Accounting is always compiled in and switched at run time. The runtime's
+/// hot loops — op tapes (wir/OpTape.cpp), matrix kernels
+/// (matrix/Kernels.cpp), the planned FFT (fft/FFT.cpp) and the frequency
+/// filter (opt/Frequency.cpp) — are templates on a counted flag (all but
+/// the op tapes written with the add/sub/mul/fma<Counted> helpers below),
+/// and each public entry point reads isCounting() once per call to pick
+/// the instantiation, so timing runs never pay for accounting. Code
 /// outside those loops (the work-IR tree interpreter, the fig 5-12
 /// simpleFFT tier, applyDense) calls the untemplated helpers, which test
 /// the flag per operation.
-#ifndef SLIN_COUNT_OPS
+///
+/// The macro below is a fixed 1 kept for perfbench's host fingerprint,
+/// its only reader; nothing in the library tests it.
 #define SLIN_COUNT_OPS 1
-#endif
 
 namespace slin {
 
@@ -95,13 +92,7 @@ extern thread_local bool Enabled;
 extern thread_local OpCounts Counts;
 } // namespace detail
 
-inline bool isCounting() {
-#if SLIN_COUNT_OPS
-  return detail::Enabled;
-#else
-  return false;
-#endif
-}
+inline bool isCounting() { return detail::Enabled; }
 inline const OpCounts &counts() { return detail::Counts; }
 
 /// RAII scope that enables counting and restores the previous state.
@@ -125,55 +116,49 @@ void reset();
 /// execution layer uses this to aggregate worker-thread op counts (the
 /// counters are thread_local, so ops executed on a worker would otherwise
 /// be invisible to the measuring thread).
-inline void accumulate(const OpCounts &Delta) {
-#if SLIN_COUNT_OPS
-  detail::Counts += Delta;
-#else
-  (void)Delta;
-#endif
-}
+inline void accumulate(const OpCounts &Delta) { detail::Counts += Delta; }
 
 inline double add(double A, double B) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Adds;
   return A + B;
 }
 inline double sub(double A, double B) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Subs;
   return A - B;
 }
 inline double mul(double A, double B) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Muls;
   return A * B;
 }
 inline double div(double A, double B) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Divs;
   return A / B;
 }
 /// Floating remainder (the FPREM family; counted with the divides).
 inline double mod(double A, double B) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Divs;
   return std::fmod(A, B);
 }
 inline bool cmp(bool Result) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Cmps;
   return Result;
 }
 /// Counts one transcendental evaluation and returns \p Result.
 inline double trans(double Result) {
-  if (SLIN_COUNT_OPS && detail::Enabled)
+  if (detail::Enabled)
     ++detail::Counts.Trans;
   return Result;
 }
 
 /// Fused helper for the ubiquitous multiply-accumulate.
 inline double fma(double Acc, double A, double B) {
-  if (SLIN_COUNT_OPS && detail::Enabled) {
+  if (detail::Enabled) {
     ++detail::Counts.Muls;
     ++detail::Counts.Adds;
   }

@@ -100,23 +100,3 @@ void RuntimeConfig::refreshFromEnv() {
   G.Parsed = true;
   G.Config = std::move(Fresh);
 }
-
-void RuntimeConfig::set(const RuntimeConfig &C) {
-  GlobalConfig &G = globalConfig();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  G.Parsed = true;
-  G.Config = C;
-}
-
-RuntimeConfig RuntimeConfig::withOverrides(const Overrides &O) const {
-  RuntimeConfig C = *this;
-  if (O.RunDeadlineMillis)
-    C.RunDeadlineMillis = *O.RunDeadlineMillis;
-  if (O.NoCache)
-    C.NoCache = *O.NoCache;
-  if (O.NoNative)
-    C.NoNative = *O.NoNative;
-  if (O.Verify)
-    C.Verify = *O.Verify;
-  return C;
-}

@@ -8,8 +8,7 @@
 /// they are read. Before this
 /// header the runtime had ~15 scattered `getenv("SLIN_*")` call sites,
 /// each with its own parse and its own caching policy; a long-lived
-/// service can't reason about that, and per-request overrides were
-/// impossible. Now:
+/// service can't reason about that. Now:
 ///
 ///  * `RuntimeConfig::fromEnv()` parses the environment **now** — the
 ///    live view. `SLIN_FAULT` resolution, which must observe the
@@ -17,10 +16,9 @@
 ///  * `RuntimeConfig::current()` returns the process snapshot, parsed
 ///    once on first use. Everything else reads this.
 ///  * `RuntimeConfig::refreshFromEnv()` re-parses the snapshot — the
-///    hook tests use after `setenv`, and the daemon uses on reload.
-///  * `RuntimeConfig::Overrides` + `withOverrides` layer per-request
-///    settings (a client's deadline, cache opt-out, native opt-out)
-///    over the snapshot without touching process state.
+///    hook tests use after `setenv`. The daemon (tools/slin_serviced.cpp)
+///    only reads `current()`, for its default run deadline; its
+///    command-line flags go into its own ServerConfig.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,23 +76,8 @@ struct RuntimeConfig {
   static RuntimeConfig current();
 
   /// Re-parses the snapshot from the environment. Tests call this after
-  /// `setenv`/`unsetenv`; the daemon calls it on config reload.
+  /// `setenv`/`unsetenv`.
   static void refreshFromEnv();
-
-  /// Replaces the snapshot wholesale (daemon command-line flags).
-  static void set(const RuntimeConfig &C);
-
-  /// Per-request settings layered over a base config: only the fields a
-  /// service client may steer. Unset fields inherit the base.
-  struct Overrides {
-    std::optional<int64_t> RunDeadlineMillis;
-    std::optional<bool> NoCache;
-    std::optional<bool> NoNative;
-    std::optional<bool> Verify;
-  };
-
-  /// This config with \p O's set fields applied.
-  RuntimeConfig withOverrides(const Overrides &O) const;
 };
 
 /// The one rule for numeric settings, shared by the numeric `SLIN_*`

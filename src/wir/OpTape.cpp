@@ -829,12 +829,10 @@ void OpProgram::run(WorkFrame &F, FieldStore &State, const double *In,
     F.FldPtrs[I] = State.Values[I].data();
     F.FldSizes[I] = static_cast<int32_t>(State.Values[I].size());
   }
-#if SLIN_COUNT_OPS
   if (ops::isCounting()) {
     runImpl<true>(F, In, Out, Printed);
     return;
   }
-#endif
   runImpl<false>(F, In, Out, Printed);
 }
 

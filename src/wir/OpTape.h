@@ -19,8 +19,7 @@
 ///
 /// Dispatch compiles to two loops: a counted one routing arithmetic
 /// through the op counters, and an ops-free fast path taken whenever
-/// counting is disabled at runtime (and unconditionally when the library
-/// is built with SLIN_COUNT_OPS=0) — see support/OpCounters.h.
+/// counting is disabled at runtime — see support/OpCounters.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,9 +129,6 @@ public:
   }
   int arrayStoreSize() const { return ArrStoreSize; }
   int fieldCount() const { return static_cast<int>(FieldNames.size()); }
-  const std::string &fieldName(int F) const {
-    return FieldNames[static_cast<size_t>(F)];
-  }
   const std::vector<std::string> &fieldNames() const { return FieldNames; }
 
   /// Sizes \p F for this program (idempotent; cheap when already sized).

@@ -662,6 +662,12 @@ TEST(DiskTier, CorruptTruncatedAndVersionMismatchedFilesRecompile) {
   WriteFile(Versioned);
   ExpectCleanRecompile("version mismatch");
 
+  // Another build-flags word: byte 12 is its low byte.
+  std::vector<char> OtherFlags = Original;
+  OtherFlags[12] = 0;
+  WriteFile(OtherFlags);
+  ExpectCleanRecompile("build-flags mismatch");
+
   // Restoring the original bytes serves from disk again (same content).
   WriteFile(Original);
   ProgramCache::global().clear();
@@ -670,6 +676,46 @@ TEST(DiskTier, CorruptTruncatedAndVersionMismatchedFilesRecompile) {
   EXPECT_TRUE(Hit);
   EXPECT_TRUE(P->loadedFromArtifact());
   EXPECT_EQ(runProgram(P, 128), Expect);
+}
+
+// Store compatibility: the goldens pin only payload bytes, so this pins
+// what else an existing store's files carry — the "-f1-" file-name
+// segment and the build-flags word (u32 at header offset 12) of every
+// artifact and alias file — and that such a store hits.
+TEST(DiskTier, FileNamesAndHeaderFlagsWordArePinned) {
+  StoreGuard Guard;
+  StreamPtr Root = firPipeline({1, 2, 3, 4, 5, 6}, "pinned");
+  PipelineOptions PO;
+  PO.Mode = OptMode::AutoSel;
+  PO.Exec.Eng = Engine::Compiled;
+  CompileResult Cold = compileStream(*Root, PO);
+  ASSERT_NE(Cold.Program, nullptr);
+
+  const std::string Ver = std::to_string(ArtifactStore::formatVersion());
+  size_t Artifacts = 0, Aliases = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Guard.dir())) {
+    std::string Name = E.path().filename().string();
+    bool IsArtifact = Name.rfind("a-v" + Ver + "-f1-", 0) == 0;
+    bool IsAlias = Name.rfind("k-v" + Ver + "-f1-", 0) == 0;
+    EXPECT_TRUE(IsArtifact || IsAlias) << Name;
+    Artifacts += IsArtifact;
+    Aliases += IsAlias;
+    std::ifstream In(E.path(), std::ios::binary);
+    unsigned char Header[16] = {};
+    ASSERT_TRUE(In.read(reinterpret_cast<char *>(Header), 16)) << Name;
+    uint32_t Flags = Header[12] | Header[13] << 8 | Header[14] << 16 |
+                     static_cast<uint32_t>(Header[15]) << 24;
+    EXPECT_EQ(Flags, 1u) << Name;
+  }
+  EXPECT_GE(Artifacts, 1u);
+  EXPECT_GE(Aliases, 1u);
+
+  ProgramCache::global().clear();
+  AnalysisManager::global().invalidate();
+  CompileResult Warm = compileStream(*Root, PO);
+  ASSERT_NE(Warm.Program, nullptr);
+  EXPECT_TRUE(Warm.Program->loadedFromArtifact());
+  EXPECT_EQ(runProgram(Warm.Program, 128), runProgram(Cold.Program, 128));
 }
 
 //===----------------------------------------------------------------------===//

@@ -253,10 +253,8 @@ TEST(DeadChannel, RoundRobinBranchReducesToDiscardSink) {
   for (Engine Eng : {Engine::Dynamic, Engine::Compiled}) {
     EXPECT_EQ(collectOutputs(*On.Optimized, 128, Eng),
               collectOutputs(*Off.Optimized, 128, Eng));
-#if SLIN_COUNT_OPS
     EXPECT_LT(measureFlops(*On.Optimized, Eng).Ops.flops(),
               measureFlops(*Off.Optimized, Eng).Ops.flops());
-#endif
   }
   // Idempotent: a second pass finds nothing left to remove.
   CleanupStats Stats;

@@ -363,7 +363,6 @@ TEST(BatchedKernels, FreqBatchedBitIdentical) {
         ASSERT_TRUE(Bat->fireBatch(In.data() + InitPop, Out.data(), K));
         EXPECT_EQ(T.Output, Out);
 
-#if SLIN_COUNT_OPS
         // Counted: one batch of K == K tape firings, kind by kind.
         ops::CountingScope Scope;
         ops::reset();
@@ -384,7 +383,6 @@ TEST(BatchedKernels, FreqBatchedBitIdentical) {
         EXPECT_EQ(Batched.flops(), K * One.flops());
         EXPECT_EQ(Fired, Batched);
         EXPECT_EQ(T1.Output, Out);
-#endif
       }
 }
 

@@ -320,10 +320,6 @@ TEST(Exec, TinyChannelCapStillMakesProgress) {
 }
 
 TEST(Measure, FIRFlopsPerOutput) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   Pipeline P("FIRProgram");
   P.add(makeCountingSource());
   P.add(makeFIR({1, 2, 3, 4, 5, 6, 7, 8}));

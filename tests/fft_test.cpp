@@ -142,10 +142,6 @@ TEST(FFT, ConvolutionViaHalfComplex) {
 }
 
 TEST(FFT, RealPathIsCheaperThanComplexPath) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   // The "FFTW tier" (planned real path) must beat the "simple tier"
   // (recursive complex FFT) in multiplication count — this gap is what
   // Figure 5-12(d) vs (b) measures.
@@ -196,7 +192,6 @@ const PinnedCounts Pinned[] = {
     {4096, {40958, 37887, 45058}, {38914, 39937, 49160}, {2047, 2047, 8190}},
 };
 
-#if SLIN_COUNT_OPS
 OpCounts addsSubsMuls(const uint64_t (&V)[3]) {
   OpCounts C;
   C.Adds = V[0];
@@ -204,7 +199,6 @@ OpCounts addsSubsMuls(const uint64_t (&V)[3]) {
   C.Muls = V[2];
   return C;
 }
-#endif
 
 TEST(FFT, CountedAndUncountedKernelsAreBitIdentical) {
   for (const PinnedCounts &P : Pinned) {
@@ -248,12 +242,10 @@ TEST(FFT, CountedAndUncountedKernelsAreBitIdentical) {
     EXPECT_EQ(Fast.Z, Counted.Z) << "inverseReal N=" << N;
     EXPECT_EQ(Fast.Fwd.flops() + Fast.Mul.flops() + Fast.Inv.flops(), 0u)
         << "N=" << N;
-#if SLIN_COUNT_OPS
     EXPECT_EQ(Counted.Fwd, addsSubsMuls(P.Fwd)) << "forwardReal N=" << N;
     EXPECT_EQ(Counted.Inv, addsSubsMuls(P.Inv)) << "inverseReal N=" << N;
     EXPECT_EQ(Counted.Mul, addsSubsMuls(P.Mul))
         << "multiplyHalfComplex N=" << N;
-#endif
   }
 }
 

@@ -108,10 +108,6 @@ TEST(PackedLinearKernel, BandedSkipsZeros) {
 }
 
 TEST(PackedLinearKernel, CountsMultiplications) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   Matrix C = Matrix::fromRows({{0, 1}, {2, 1}, {3, 1}, {0, 1}});
   Vector B({0.5, 0.0});
   PackedLinearKernel K(C, B);
@@ -151,10 +147,6 @@ TEST(TunedGemv, MatchesBanded) {
 }
 
 TEST(TunedGemv, DoesNotSkipZeros) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   // A very sparse column: banded does 1 multiply, tuned does E.
   int E = 32;
   Matrix C(E, 1);

@@ -77,10 +77,6 @@ TEST(LinearReplacement, CombinationCollapsesPipeline) {
 }
 
 TEST(LinearReplacement, CombinationHalvesMultiplications) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   // The motivating example: two 8-tap FIRs collapse into one 15-tap FIR,
   // nearly halving the multiplications per output.
   // 0.4 so no combined coefficient is exactly 1.0 (unit coefficients are
@@ -175,10 +171,6 @@ TEST(FreqReplacement, PopLimitSkipsHighPopNodes) {
 }
 
 TEST(FreqReplacement, ReducesMultiplicationsForLongFIR) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   auto P = std::make_unique<Pipeline>("fir64");
   P->add(makeCountingSource());
   std::vector<double> H(64);
@@ -202,10 +194,6 @@ TEST(FreqReplacement, ReducesMultiplicationsForLongFIR) {
 }
 
 TEST(FreqReplacement, OptimizedBeatsNaive) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   auto P = std::make_unique<Pipeline>("fir32");
   P->add(makeCountingSource());
   P->add(makeFIR(std::vector<double>(32, 0.5), "FIR32"));
@@ -291,10 +279,6 @@ TEST(Redundancy, SymmetricFIRSavesMultiplications) {
 }
 
 TEST(Redundancy, ReducesCountedMultiplications) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   std::vector<double> H = {1, 2, 3, 3, 2, 1}; // fully symmetric, 6 taps
   auto P = std::make_unique<Pipeline>("fir");
   P->add(makeCountingSource());
@@ -318,10 +302,6 @@ TEST(Redundancy, ReducesCountedMultiplications) {
 //===----------------------------------------------------------------------===//
 
 TEST(Selection, PicksFrequencyForLongFIR) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   auto P = std::make_unique<Pipeline>("fir");
   P->add(makeCountingSource());
   P->add(makeFIR(std::vector<double>(128, 0.25), "FIR128"));

@@ -416,15 +416,10 @@ TEST(ParallelMeasure, FlopTotalsMatchCompiledEngine) {
   EXPECT_EQ(Single.Outputs, Par.Outputs);
   EXPECT_TRUE(Single.Ops == Par.Ops)
       << Single.Ops.flops() << " vs " << Par.Ops.flops();
-#if SLIN_COUNT_OPS
   EXPECT_GT(Par.Ops.flops(), 0u);
-#endif
 }
 
 TEST(OpCounters, AccumulateFoldsWorkerDeltas) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out";
-#endif
   ops::CountingScope Scope;
   ops::reset();
   OpCounts Delta;

@@ -61,10 +61,6 @@ TEST(WorkIR, InterpretFIR) {
 }
 
 TEST(WorkIR, InterpretCountsOps) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   std::vector<FieldDef> Fields = {FieldDef::constArray("h", {1, 2, 3, 4})};
   WorkFunction W = makeFIRWork(4);
   FieldStore State(Fields);
@@ -118,10 +114,6 @@ TEST(WorkIR, LocalArrays) {
 }
 
 TEST(WorkIR, IntrinsicsAndModulo) {
-#if !SLIN_COUNT_OPS
-  GTEST_SKIP() << "op accounting compiled out (SLIN_COUNT_OPS=OFF)";
-#endif
-
   WorkFunction W(0, 0, 3,
                  stmts(push(sqrtE(cst(9))), push(mod(cst(7), cst(3))),
                        push(absE(neg(cst(2))))));
