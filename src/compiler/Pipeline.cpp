@@ -150,8 +150,7 @@ bool pipelineAliasKey(const Stream &Root, const PipelineOptions &Opts,
   H.mix(DeadChannelElim ? 1 : 0);
   // Of ExecOptions, only the compiled-engine knobs shape the artifact:
   // every artifact engine runs the same tapes/kernels (selection
-  // substitutes one shared compiled-engine model), and DynamicOptions
-  // never reach the compiled path.
+  // substitutes one shared compiled-engine model).
   HashDigest OD = hashOptions(Exec.Compiled);
   H.mix(OD.Lo);
   H.mix(OD.Hi);
@@ -321,9 +320,8 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
     SO.MaxMatrixElements = Opts.MaxMatrixElements;
     SO.AM = AM;
     if (!SO.Model && usesCompiledArtifact(Opts.Exec.Eng)) {
-      // Select for the engine that will run the result (the parallel
-      // backend executes the compiled engine's tapes and kernels, so it
-      // shares the compiled coefficients).
+      // Select for the engine that will run the result: every engine
+      // that runs the lowered artifact shares the compiled coefficients.
       static const MeasuredCostModel CompiledModel{Engine::Compiled};
       SO.Model = &CompiledModel;
     }

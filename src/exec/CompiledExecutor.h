@@ -63,11 +63,10 @@ public:
   explicit CompiledExecutor(CompiledProgramRef Program);
 
   /// Same, with a dlopen'd native module attached (codegen/NativeModule.h;
-  /// the Engine::Native path; null \p Native is the plain op-tape
-  /// executor): filters with an emitted entry point then run machine code
-  /// instead of the op-tape dispatch loop (bit-identical by construction).
-  /// Counting runs still take the tapes — emitted code does no
-  /// accounting, and FLOP numbers must keep their interpreter meaning.
+  /// null: none): filters with an emitted entry point then run machine
+  /// code instead of the op-tape dispatch loop (bit-identical by
+  /// construction). Counting runs still take the tapes — emitted code does
+  /// no accounting, and FLOP numbers must keep their interpreter meaning.
   CompiledExecutor(CompiledProgramRef Program, codegen::NativeModuleRef Native)
       : CompiledExecutor(std::move(Program)) {
     NativeMod = std::move(Native);

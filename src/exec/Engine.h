@@ -1,14 +1,28 @@
-//===- exec/Engine.h - Execution engine selection ---------------*- C++ -*-===//
+//===- exec/Engine.h - Execution backend selection --------------*- C++ -*-===//
 ///
 /// \file
-/// The execution engines of the runtime: the dynamic data-driven
+/// The backends that fire a program's filters: the dynamic data-driven
 /// Executor (tree-walking interpreter, per-sweep readiness scan), the
 /// compiled batched CompiledExecutor (static firing program, op tapes,
-/// batched matrix kernels), and the parallel sharded backend
-/// (exec/Parallel.h) that splits a run's steady iterations across worker
-/// threads, each an independent CompiledExecutor over the same shared
-/// CompiledProgram. Measurement helpers, the cost model and the benchmark
-/// harness all select an engine through this enum.
+/// batched matrix kernels) and the same executor with emitted native
+/// code attached. How many threads run a program is a separate choice:
+/// a ParallelExecutor (exec/Parallel.h) shards one run's steady
+/// iterations across workers, each a CompiledExecutor over the shared
+/// CompiledProgram with whichever native module the caller resolved.
+///
+/// The degradation ladder. Every rung below gives the same outputs and
+/// FLOP counts as the rung above it, only slower or less durable, and
+/// each is reported (a DegradeReason, RunStats::FallbackReason or a
+/// store counter), never fatal:
+///
+///  1. a failed optimization pass → the pipeline recompiles in Base mode
+///     (compiler/Pipeline.h);
+///  2. native codegen unavailable → a null module, so the op tapes fire
+///     (codegen/NativeModule.h);
+///  3. an unshardable program or a shard anomaly → one sequential run
+///     (exec/Parallel.h);
+///  4. an artifact store publish failure → the program stays in memory
+///     only (compiler/ArtifactStore.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +34,6 @@ namespace slin {
 enum class Engine {
   Dynamic,  ///< exec/Executor.h
   Compiled, ///< exec/CompiledExecutor.h
-  Parallel, ///< exec/Parallel.h (sharded runs over a CompiledProgram)
   Native    ///< codegen/NativeModule.h (emitted C++, dlopen'd per program)
 };
 
@@ -30,8 +43,6 @@ inline const char *engineName(Engine E) {
     return "dynamic";
   case Engine::Compiled:
     return "compiled";
-  case Engine::Parallel:
-    return "parallel";
   case Engine::Native:
     return "native";
   }

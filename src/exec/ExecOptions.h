@@ -2,12 +2,12 @@
 ///
 /// \file
 /// One struct holding every engine knob: which engine runs the program
-/// and the per-engine tuning options. Measurement helpers, the compiler
-/// pipeline, the program cache and the bench harnesses all carry an
-/// ExecOptions instead of parallel (engine, executor-options, batch-
-/// iterations) fields. The per-engine structs live here — away from the
-/// engine headers — so option-only consumers stay light; the engines
-/// alias them (`Executor::Options`, `CompiledExecutor::Options`).
+/// and the compiled engine's tuning options. Measurement helpers, the
+/// compiler pipeline, the program cache and the bench harnesses all
+/// carry an ExecOptions instead of parallel (engine, executor-options,
+/// batch-iterations) fields. The option structs live here — away from
+/// the engine headers — so option-only consumers stay light; the
+/// compiled engine aliases them (`CompiledExecutor::Options`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,21 +20,8 @@
 
 namespace slin {
 
-/// Knobs of the dynamic data-driven engine (exec/Executor.h).
-struct DynamicOptions {
-  /// Upper bound on any channel's high-water mark. Each channel's
-  /// actual cap is derived from its consumer's peek requirement (twice
-  /// the requirement, at least MinChannelCap) so producers stay only
-  /// slightly ahead of consumers and measured windows reflect steady
-  /// state rather than queue fill-up.
-  size_t ChannelCap = 1 << 16;
-  size_t MinChannelCap = 64;
-  /// Max consecutive firings of one node within a sweep.
-  size_t BatchLimit = 1024;
-};
-
-/// Knobs of the parallel sharded backend (exec/Parallel.h), which runs
-/// CompiledProgram artifacts across a pool of worker threads.
+/// Knobs of sharded runs (exec/Parallel.h), which split a
+/// CompiledProgram's steady iterations across worker threads.
 struct ParallelOptions {
   /// Worker threads a sharded run fans out to (also the executor-pool
   /// size). 0 picks the hardware concurrency.
@@ -53,7 +40,7 @@ struct ParallelOptions {
 };
 
 /// Knobs of the compiled batched engine (exec/CompiledExecutor.h) and of
-/// the parallel backend layered on top of it.
+/// the sharded runs layered on top of it.
 ///
 /// NOTE for maintainers: ProgramCache keys artifacts (in memory AND on
 /// disk) on a hash of EVERY field of this struct. Adding a field is a
@@ -68,14 +55,13 @@ struct CompiledOptions {
   /// batches give the batched kernels longer runs (and cost
   /// proportionally more channel memory).
   int BatchIterations = 16;
-  /// Parallel-backend knobs (ignored by plain CompiledExecutor runs).
+  /// Sharding knobs (ignored by plain CompiledExecutor runs).
   ParallelOptions Parallel;
 };
 
-/// Engine selection plus both engines' knobs.
+/// Engine selection plus the compiled engine's knobs.
 struct ExecOptions {
   Engine Eng = Engine::Dynamic;
-  DynamicOptions Dynamic;
   CompiledOptions Compiled;
 };
 

@@ -8,6 +8,15 @@
 using namespace slin;
 using namespace slin::flat;
 
+namespace {
+
+constexpr size_t ChannelCap = 1 << 16;
+constexpr size_t MinChannelCap = 64;
+/// Max consecutive firings of one node within a sweep.
+constexpr size_t BatchLimit = 1024;
+
+} // namespace
+
 Executor::~Executor() = default;
 
 //===----------------------------------------------------------------------===//
@@ -54,8 +63,7 @@ private:
 // Construction
 //===----------------------------------------------------------------------===//
 
-Executor::Executor(const Stream &Root, Options Opts)
-    : Opts(Opts), Graph(Root) {
+Executor::Executor(const Stream &Root) : Graph(Root) {
   Channels.resize(Graph.numChannels());
   for (size_t C = 0; C != Channels.size(); ++C)
     for (double V : Graph.InitialItems[C])
@@ -73,14 +81,18 @@ Executor::Executor(const Stream &Root, Options Opts)
   computeChannelCaps();
 }
 
+/// A channel's cap is twice its consumer's peek requirement, at least
+/// MinChannelCap and at most ChannelCap, so producers stay only slightly
+/// ahead of consumers and measured windows reflect steady state rather
+/// than queue fill-up.
 void Executor::computeChannelCaps() {
   for (Channel &C : Channels)
-    C.Cap = Opts.ChannelCap;
+    C.Cap = ChannelCap;
   auto Require = [&](int Chan, size_t Need) {
     if (Chan < 0)
       return;
     Channel &C = Channels[static_cast<size_t>(Chan)];
-    size_t Cap = std::max(Opts.MinChannelCap, 2 * Need);
+    size_t Cap = std::max(MinChannelCap, 2 * Need);
     C.Cap = std::min(C.Cap, std::max(Cap, C.Q.size()));
   };
   for (const Node &N : Graph.Nodes) {
@@ -240,7 +252,7 @@ Status Executor::tryRun(size_t NOutputs) {
     bool AnyFired = false;
     for (size_t I = 0; I != Graph.Nodes.size(); ++I) {
       size_t Batch = 0;
-      while (Batch < Opts.BatchLimit && canFire(I)) {
+      while (Batch < BatchLimit && canFire(I)) {
         fire(I);
         AnyFired = true;
         ++Batch;

@@ -19,7 +19,6 @@
 #ifndef SLIN_EXEC_EXECUTOR_H
 #define SLIN_EXEC_EXECUTOR_H
 
-#include "exec/ExecOptions.h"
 #include "exec/FlatGraph.h"
 #include "support/Error.h"
 #include "wir/Interp.h"
@@ -30,12 +29,7 @@ namespace slin {
 
 class Executor {
 public:
-  /// Knobs live in exec/ExecOptions.h (shared with the unified
-  /// ExecOptions struct); the alias keeps `Executor::Options` spelling.
-  using Options = DynamicOptions;
-
-  explicit Executor(const Stream &Root) : Executor(Root, Options()) {}
-  Executor(const Stream &Root, Options Opts);
+  explicit Executor(const Stream &Root);
   ~Executor();
 
   Executor(const Executor &) = delete;
@@ -89,7 +83,6 @@ private:
   void fire(size_t I);
   size_t inputAvailable(const flat::Node &N) const;
 
-  Options Opts;
   flat::FlatGraph Graph;
   std::vector<NodeState> States;
   std::vector<Channel> Channels;

@@ -4,7 +4,6 @@
 
 #include "compiler/Program.h"
 #include "exec/CompiledExecutor.h"
-#include "exec/Parallel.h"
 
 #include <chrono>
 
@@ -61,12 +60,6 @@ Measurement slin::measureSteadyState(const Stream &Root,
     CompiledProgramRef P =
         Opts.Program ? Opts.Program
                      : ProgramCache::global().get(Root, Opts.Exec.Compiled);
-    if (Opts.Exec.Eng == Engine::Parallel)
-      // Worker-thread op counts fold back into this thread's counters
-      // (ops::accumulate), so the protocol below reads them as usual.
-      return measureWith<ParallelExecutor>(Opts, [&] {
-        return ParallelExecutor(P, Opts.Exec.Compiled.Parallel);
-      });
     if (Opts.Exec.Eng == Engine::Native) {
       // The module attaches to both runs; counting-gated dispatch keeps
       // the counting run on the op tapes (real FLOPs) while the timing
@@ -78,8 +71,7 @@ Measurement slin::measureSteadyState(const Stream &Root,
     return measureWith<CompiledExecutor>(
         Opts, [&] { return CompiledExecutor(P, nullptr); });
   }
-  return measureWith<Executor>(
-      Opts, [&] { return Executor(Root, Opts.Exec.Dynamic); });
+  return measureWith<Executor>(Opts, [&] { return Executor(Root); });
 }
 
 std::vector<double> slin::collectOutputs(const Stream &Root, size_t NOutputs,
@@ -95,8 +87,6 @@ std::vector<double> slin::collectOutputs(const Stream &Root, size_t NOutputs,
   if (!usesCompiledArtifact(Eng))
     return Collect(Executor(Root));
   CompiledProgramRef P = ProgramCache::global().get(Root, CompiledOptions());
-  if (Eng == Engine::Parallel)
-    return Collect(ParallelExecutor(P));
   return Collect(CompiledExecutor(
       P, Eng == Engine::Native ? codegen::NativeModuleCache::global().get(*P)
                                : nullptr));

@@ -32,14 +32,10 @@ int64_t externalLookahead(const StaticSchedule &S) {
 
 } // namespace
 
-ParallelExecutor::ParallelExecutor(CompiledProgramRef Program)
-    : ParallelExecutor(std::move(Program), ParallelOptions()) {
-  Opts = Prog->options().Parallel;
-}
-
 ParallelExecutor::ParallelExecutor(CompiledProgramRef Program,
-                                   ParallelOptions Opts)
-    : Prog(std::move(Program)), Opts(Opts) {
+                                   ParallelOptions Opts,
+                                   codegen::NativeModuleRef Native)
+    : Prog(std::move(Program)), Opts(Opts), Native(std::move(Native)) {
   assert(Prog && "null program");
 }
 
@@ -51,6 +47,10 @@ void ParallelExecutor::provideInput(const std::vector<double> &Items) {
 
 size_t ParallelExecutor::outputsProduced() const {
   return Prog->graph().RootProducesOutput ? ExtOut.size() : Printed.size();
+}
+
+std::unique_ptr<CompiledExecutor> ParallelExecutor::makeExecutor() const {
+  return std::make_unique<CompiledExecutor>(Prog, Native);
 }
 
 int64_t ParallelExecutor::consumedInputItems() const {
@@ -71,7 +71,7 @@ void ParallelExecutor::runShard(int64_t Start, int64_t Span, bool Counting,
   int64_t From = std::max<int64_t>(0, Start - Washout);
   int64_t Warm = Start - From;
 
-  Result.Exec = std::make_unique<CompiledExecutor>(Prog);
+  Result.Exec = makeExecutor();
   CompiledExecutor &E = *Result.Exec;
   // The shard's input slice: its own pops plus the peek lookahead. A
   // worker replaying from the stream start (From == 0) runs the real
@@ -121,83 +121,63 @@ void ParallelExecutor::runShard(int64_t Start, int64_t Span, bool Counting,
                         P.end());
 }
 
-/// Replaces \p E with a fresh executor at the logical stream position:
-/// fed the whole input and caught up (uncounted) through the iterations
-/// already done. It replays work that already ran, so it cannot starve.
-Status ParallelExecutor::freshExecutor(std::unique_ptr<CompiledExecutor> &E,
-                                       size_t &Fed,
-                                       const faults::RunDeadline *DL) {
-  E = std::make_unique<CompiledExecutor>(Prog);
-  E->provideInput(In);
-  Fed = In.size();
-  if (IterationsDone > 0) {
-    ops::CountingScope Off(false);
-    if (Status St = E->tryRunIterations(IterationsDone, DL); !St.isOk()) {
-      E.reset();
-      return St;
+/// Runs \p Run on the persistent executor after feeding it the input it
+/// has not seen, and splices the outputs it produces onto the logical
+/// stream. When none exists, a fresh one is first fed the whole input
+/// and caught up (uncounted) through the iterations already done; that
+/// replays work that already ran, so it cannot starve. A failure leaves
+/// the executor indeterminate mid-stream, so it is discarded; the next
+/// call rebuilds (and catches up) a fresh one.
+template <class RunFn>
+Status ParallelExecutor::runSequential(const faults::RunDeadline *DL,
+                                       RunFn Run) {
+  if (!Cont) {
+    Cont = makeExecutor();
+    Cont->provideInput(In);
+    ContInFed = In.size();
+    if (IterationsDone > 0) {
+      ops::CountingScope Off(false);
+      if (Status St = Cont->tryRunIterations(IterationsDone, DL);
+          !St.isOk()) {
+        Cont.reset();
+        return St;
+      }
     }
   }
-  return Status::ok();
-}
-
-/// Runs \p Run on the persistent executor \p E (the sequential fallback
-/// or the continuation tail) after feeding it the input it has not seen,
-/// and splices the outputs it produces onto the logical stream. A
-/// failure leaves E indeterminate mid-stream, so it is discarded; the
-/// next call rebuilds (and catches up) a fresh one.
-template <class RunFn>
-Status ParallelExecutor::continueOn(std::unique_ptr<CompiledExecutor> &E,
-                                    size_t &Fed, RunFn Run) {
-  if (Fed < In.size()) {
-    E->provideInput(std::vector<double>(
-        In.begin() + static_cast<ptrdiff_t>(Fed), In.end()));
-    Fed = In.size();
+  if (ContInFed < In.size()) {
+    Cont->provideInput(std::vector<double>(
+        In.begin() + static_cast<ptrdiff_t>(ContInFed), In.end()));
+    ContInFed = In.size();
   }
-  size_t OutBoundary = E->externalOutputCount();
-  size_t PrintBoundary = E->printed().size();
-  if (Status St = Run(*E); !St.isOk()) {
-    E.reset();
+  size_t OutBoundary = Cont->externalOutputCount();
+  size_t PrintBoundary = Cont->printed().size();
+  if (Status St = Run(*Cont); !St.isOk()) {
+    Cont.reset();
     return St;
   }
-  std::vector<double> Out = E->outputSnapshot();
+  std::vector<double> Out = Cont->outputSnapshot();
   ExtOut.insert(ExtOut.end(), Out.begin() + static_cast<ptrdiff_t>(OutBoundary),
                 Out.end());
-  const std::vector<double> &P = E->printed();
+  const std::vector<double> &P = Cont->printed();
   Printed.insert(Printed.end(),
                  P.begin() + static_cast<ptrdiff_t>(PrintBoundary), P.end());
   return Status::ok();
 }
 
-/// The unshardable path: one persistent executor holds the whole
-/// logical stream across calls.
-template <class RunFn>
-Status ParallelExecutor::runSequential(const faults::RunDeadline *DL,
-                                       RunFn Run) {
-  if (!Seq)
-    if (Status St = freshExecutor(Seq, SeqInFed, DL); !St.isOk())
-      return St;
-  return continueOn(Seq, SeqInFed, Run);
-}
-
 /// A shard failed with \p ShardSt. Only a seed anomaly is recoverable:
 /// every shard's partial output has been discarded and the whole span
-/// re-runs on the continuation tail — or, when none exists, on a fresh
-/// executor caught up through the iterations already done. The
-/// sequential re-run fires the exact firing sequence a single-threaded
-/// engine would, so outputs and FLOP counts stay bit-identical to the
-/// clean path.
+/// re-runs on the persistent executor. The sequential re-run fires the
+/// exact firing sequence a single-threaded engine would, so outputs and
+/// FLOP counts stay bit-identical to the clean path.
 Status ParallelExecutor::recoverSpanSequentially(int64_t Iters,
                                                  const Status &ShardSt,
                                                  const faults::RunDeadline *DL) {
   if (ShardSt.code() != ErrorCode::ShardAnomaly)
     return ShardSt;
-  if (!Tail)
-    if (Status St = freshExecutor(Tail, TailInFed, DL); !St.isOk())
-      return St;
-  if (Status St = continueOn(Tail, TailInFed,
-                             [&](CompiledExecutor &E) {
-                               return E.tryRunIterations(Iters, DL);
-                             });
+  if (Status St = runSequential(DL,
+                                [&](CompiledExecutor &E) {
+                                  return E.tryRunIterations(Iters, DL);
+                                });
       !St.isOk())
     return St;
   Stats = RunStats();
@@ -255,11 +235,11 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
 
   if (Shards == 1) {
     // Single shard: run on the calling thread (its counting scope
-    // already applies — no delta folding). A tail executor adopted from
-    // the previous call sits exactly at IterationsDone and continues
-    // directly, with no re-seeding or washout replay.
-    if (Tail) {
-      if (Status St = continueOn(Tail, TailInFed, RunSpan); !St.isOk())
+    // already applies — no delta folding). The persistent executor sits
+    // exactly at IterationsDone and continues directly, with no
+    // re-seeding or washout replay.
+    if (Cont) {
+      if (Status St = runSequential(DL, RunSpan); !St.isOk())
         return St;
     } else {
       ShardResult R;
@@ -269,8 +249,8 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
       Stats.WarmupIterations += std::min(SI.WashoutIterations, IterationsDone);
       ExtOut.insert(ExtOut.end(), R.Out.begin(), R.Out.end());
       Printed.insert(Printed.end(), R.Printed.begin(), R.Printed.end());
-      Tail = std::move(R.Exec);
-      TailInFed = R.InFedEnd;
+      Cont = std::move(R.Exec);
+      ContInFed = R.InFedEnd;
     }
     Stats.ShardsUsed = 1;
     IterationsDone += Iters;
@@ -278,10 +258,10 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
     return Status::ok();
   }
 
-  // Fanning out. Any previous tail will be superseded by the new last
-  // shard (which ends at the new IterationsDone) — but it is kept alive
-  // until the shards succeed, as the cheapest sequential-recovery point
-  // should one of them hit a seed anomaly.
+  // Fanning out. The persistent executor will be superseded by the new
+  // last shard (which ends at the new IterationsDone) — but it is kept
+  // alive until the shards succeed, as the cheapest sequential-recovery
+  // point should one of them hit a seed anomaly.
   int64_t Base = Iters / Shards, Rem = Iters % Shards;
   std::vector<ShardResult> Results(static_cast<size_t>(Shards));
   std::vector<std::thread> Threads;
@@ -314,8 +294,8 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
   }
   if (Counting)
     ops::accumulate(Total);
-  Tail = std::move(Results.back().Exec);
-  TailInFed = Results.back().InFedEnd;
+  Cont = std::move(Results.back().Exec);
+  ContInFed = Results.back().InFedEnd;
 
   Stats.ShardsUsed = Shards;
   IterationsDone += Iters;
@@ -359,15 +339,15 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
         static_cast<int64_t>(In.size()) >=
             S.InitExternalPops + 2 * S.SteadyExternalPops +
                 externalLookahead(S)) {
-      CompiledExecutor E(Prog);
+      std::unique_ptr<CompiledExecutor> E = makeExecutor();
       ops::CountingScope Off(false);
-      E.provideInput(In);
-      if (Status St = E.tryRunIterations(1, DL); !St.isOk())
+      E->provideInput(In);
+      if (Status St = E->tryRunIterations(1, DL); !St.isOk())
         return St;
-      size_t O1 = E.outputsProduced();
-      if (Status St = E.tryRunIterations(1, DL); !St.isOk())
+      size_t O1 = E->outputsProduced();
+      if (Status St = E->tryRunIterations(1, DL); !St.isOk())
         return St;
-      ProbedPerIterOut = static_cast<int64_t>(E.outputsProduced() - O1);
+      ProbedPerIterOut = static_cast<int64_t>(E->outputsProduced() - O1);
     }
     PerIter = std::max<int64_t>(ProbedPerIterOut, 0);
   }
@@ -477,16 +457,14 @@ void ExecutorPool::workerLoop() {
     auto Start = std::chrono::steady_clock::now();
     {
       ops::CountingScope Scope(J.Req.CountOps);
-      if (J.Req.Eng == Engine::Parallel && !J.Req.Latency) {
-        ParallelExecutor E(Prog);
+      if (J.Req.Shard && !J.Req.Latency) {
+        ParallelExecutor E(Prog, Prog->options().Parallel, J.Req.Native);
         E.provideInput(J.Req.Input);
         R.St = E.tryRun(J.Req.NOutputs, DLP);
         if (R.St.isOk())
           R.Outputs = Prog->graph().RootProducesOutput ? E.outputSnapshot()
                                                        : E.printed();
       } else {
-        // Compiled and Native share the executor; a null module IS the
-        // op-tape engine. Latency mode always runs here (see Request).
         CompiledExecutor E(Prog, J.Req.Native);
         E.provideInput(J.Req.Input);
         R.St = J.Req.Latency

@@ -17,16 +17,19 @@
 ///    counts — is bit-identical to a single-threaded run of the same
 ///    iterations. Programs whose state cannot be reconstructed (feedback
 ///    loops, opaque filter state) degrade to an equivalent sequential
-///    run, never to an error.
+///    run, never to an error. Sharding is independent of the backend:
+///    every executor a run builds carries the native module the caller
+///    resolved (null: op tapes).
 ///
 ///  * **Executor pool** (ExecutorPool): a fixed worker pool serving
 ///    concurrent independent run requests against one shared program —
 ///    the "compile once, serve many users" path. Each request gets a
-///    fresh CompiledExecutor instance; the artifact is never mutated.
+///    fresh CompiledExecutor instance (a ParallelExecutor when it asks to
+///    shard); the artifact is never mutated.
 ///
 /// Worker-thread FLOP counts are folded back into the submitting thread's
-/// counters (support/OpCounters.h accumulate), so measurements over the
-/// parallel engine report the same totals as single-threaded runs.
+/// counters (support/OpCounters.h accumulate), so measurements over
+/// sharded runs report the same totals as single-threaded runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,9 +63,11 @@ class CompiledExecutor;
 /// stream, with every call's iteration span sharded afresh.
 class ParallelExecutor {
 public:
-  /// Uses the parallel knobs baked into the program's options.
-  explicit ParallelExecutor(CompiledProgramRef Program);
-  ParallelExecutor(CompiledProgramRef Program, ParallelOptions Opts);
+  /// Every executor this run builds (shards, the continuation and the
+  /// sequential fallback) is a CompiledExecutor(Program, Native), so
+  /// \p Native picks the backend exactly as it does there.
+  ParallelExecutor(CompiledProgramRef Program, ParallelOptions Opts,
+                   codegen::NativeModuleRef Native = nullptr);
   ~ParallelExecutor();
 
   ParallelExecutor(const ParallelExecutor &) = delete;
@@ -122,13 +127,9 @@ private:
   };
 
   int64_t consumedInputItems() const;
+  std::unique_ptr<CompiledExecutor> makeExecutor() const;
   void runShard(int64_t Start, int64_t Span, bool Counting,
                 const faults::RunDeadline *DL, ShardResult &Result) const;
-  Status freshExecutor(std::unique_ptr<CompiledExecutor> &E, size_t &Fed,
-                       const faults::RunDeadline *DL);
-  template <class RunFn>
-  Status continueOn(std::unique_ptr<CompiledExecutor> &E, size_t &Fed,
-                    RunFn Run);
   template <class RunFn>
   Status runSequential(const faults::RunDeadline *DL, RunFn Run);
   Status recoverSpanSequentially(int64_t Iters, const Status &ShardSt,
@@ -136,22 +137,20 @@ private:
 
   CompiledProgramRef Prog;
   ParallelOptions Opts;
+  codegen::NativeModuleRef Native;
   std::vector<double> In; ///< full logical input stream, never trimmed
   std::vector<double> ExtOut;
   std::vector<double> Printed;
   int64_t IterationsDone = 0;
   bool InitDone = false;
   RunStats Stats;
-  /// Sequential fallback (unshardable programs) keeps real state across
-  /// calls.
-  std::unique_ptr<CompiledExecutor> Seq;
-  size_t SeqInFed = 0; ///< items of In already handed to Seq
-  /// Continuation tail for shardable programs: the previous call's last
-  /// shard executor, positioned exactly at IterationsDone. Short
-  /// follow-up spans run it forward directly — no re-seeding, no washout
-  /// replay, no thread spawn.
-  std::unique_ptr<CompiledExecutor> Tail;
-  size_t TailInFed = 0;
+  /// The persistent executor, positioned exactly at IterationsDone: for
+  /// an unshardable program the sequential run holding the whole logical
+  /// stream; for a shardable one the previous call's last shard, so
+  /// short follow-up spans and seed-anomaly recovery run it forward with
+  /// no re-seeding, no washout replay and no thread spawn.
+  std::unique_ptr<CompiledExecutor> Cont;
+  size_t ContInFed = 0; ///< items of In already handed to Cont
   /// Lazily probed outputs-per-iteration for print-driven graphs.
   int64_t ProbedPerIterOut = -1;
 };
@@ -165,24 +164,16 @@ public:
     size_t NOutputs = 0;
     bool CountOps = false; ///< fill Result::Ops (adds counting overhead)
 
-    /// Serving extensions (src/service/): per-request engine selection,
-    /// deadline and latency-mode firing. The defaults reproduce the
-    /// original pool behaviour (throughput-batched compiled engine, no
-    /// deadline).
-    ///
-    /// Compiled runs the op tapes; Native runs \p Native when non-null
-    /// (the caller resolves the module — a null module IS the compiled
-    /// engine, the degradation ladder's last rung); Parallel runs the
-    /// sharded backend, which itself falls back to an equivalent
-    /// sequential run on shard anomalies. Dynamic is not a pool engine
-    /// and is served as Compiled.
-    Engine Eng = Engine::Compiled;
-    codegen::NativeModuleRef Native; ///< pre-resolved Engine::Native module
+    /// Serving extensions (src/service/): backend, sharding, deadline
+    /// and latency-mode firing. The defaults reproduce the original pool
+    /// behaviour (one op-tape executor per request, no deadline).
+    codegen::NativeModuleRef Native; ///< resolved by the caller; null: tapes
+    bool Shard = false;              ///< run on a ParallelExecutor
     int64_t DeadlineMillis = 0;      ///< > 0: wall-clock run deadline
     /// Latency mode: single steady iterations (bounded
-    /// time-to-first-output) instead of fused batches. Runs on a
-    /// CompiledExecutor even for Eng == Parallel — sharding is a
-    /// throughput device and cannot bound the first output.
+    /// time-to-first-output) instead of fused batches. Runs on one
+    /// CompiledExecutor even with Shard set — sharding is a throughput
+    /// device and cannot bound the first output.
     bool Latency = false;
   };
   struct Result {

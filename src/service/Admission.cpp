@@ -160,7 +160,7 @@ RunResponse Admission::run(const RunRequest &R) {
   Req.NOutputs = std::min(R.NOutputs ? R.NOutputs : Cfg.DefaultOutputs,
                           Cfg.MaxOutputs);
   Req.CountOps = R.CountOps;
-  Req.Eng = R.Eng;
+  Req.Shard = R.Shard;
   Req.Latency = R.Latency;
   Req.DeadlineMillis =
       R.DeadlineMillis > 0 ? R.DeadlineMillis : Cfg.DefaultDeadlineMillis;

@@ -12,12 +12,10 @@
 ///  * **Admission**: unknown graphs are refused with Internal; a pool
 ///    whose queue depth reached the configured cap refuses with
 ///    Overloaded. Refusal is a reply, not a crash or a hang.
-///  * **Engine selection + degradation**: Compiled runs the op tapes;
-///    Native resolves the program's dlopen'd module once (lazily) and
-///    degrades to Compiled — reported, not fatal — when codegen is
-///    unavailable (the PR 6 ladder); Parallel runs the sharded backend
-///    (which degrades internally to a sequential run on shard
-///    anomalies); Dynamic is served as Compiled.
+///  * **Backend and sharding**: Compiled runs the op tapes; Native
+///    resolves the program's dlopen'd module once (lazily) and reports
+///    the degradation when it cannot (exec/Engine.h's ladder); Dynamic
+///    is served as Compiled. Shard runs either on a ParallelExecutor.
 ///  * **Deadline**: the request's DeadlineMillis (else the server
 ///    default, seeded from RuntimeConfig's SLIN_RUN_DEADLINE_MS) bounds
 ///    the run; expiry returns a Timeout *response* and frees the

@@ -57,6 +57,7 @@ void service::encodeRequest(Writer &W, const Request &R) {
   W.i64(R.Run.DeadlineMillis);
   W.boolean(R.Run.CountOps);
   W.f64s(R.Run.Input);
+  W.boolean(R.Run.Shard);
 }
 
 Expected<Request> service::decodeRequest(const std::vector<uint8_t> &Payload) {
@@ -77,6 +78,7 @@ Expected<Request> service::decodeRequest(const std::vector<uint8_t> &Payload) {
     Req.Run.DeadlineMillis = R.i64();
     Req.Run.CountOps = R.boolean();
     Req.Run.Input = R.f64s();
+    Req.Run.Shard = R.boolean();
   }
   if (!R.ok() || !R.atEnd())
     return corrupt("request payload");

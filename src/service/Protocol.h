@@ -15,8 +15,10 @@
 ///
 /// Requests (client -> server), tagged by a leading `MsgKind` byte:
 ///   Ping                  liveness probe, empty payload
-///   Run                   graph name, engine, latency flag, output
-///                         count, deadline, count-ops flag, input items
+///   Run                   graph name, engine (dynamic, compiled or
+///                         native), latency flag, output count,
+///                         deadline, count-ops flag, input items, shard
+///                         flag
 ///   Stats                 empty; answers the unified counter snapshot
 ///   ListGraphs            empty; answers the serving-set names
 ///   Shutdown              asks the daemon to exit its serve loop
@@ -26,10 +28,10 @@
 /// deadlock, overload, degradation — is a *reply*, never a dropped
 /// connection: containment is the service's whole contract.
 ///
-/// The request surface is deliberately shard-agnostic: a client names
-/// a graph, an engine and an output count — never shard counts or
-/// iteration spans — so future state-composition parallelism (Hou et
-/// al.) slots in behind the same API unchanged.
+/// A client asks for sharding with one flag and names an engine and an
+/// output count, never shard counts or iteration spans: the server's
+/// program options fix the worker count, and state composition (Hou et
+/// al.) keeps a sharded run's outputs equal to a sequential one's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,12 +64,13 @@ enum class MsgKind : uint8_t {
 
 struct RunRequest {
   std::string Graph;              ///< serving-set name (apps registry)
-  Engine Eng = Engine::Compiled;  ///< Compiled / Parallel / Native
+  Engine Eng = Engine::Compiled;  ///< Compiled / Native (Dynamic: Compiled)
   bool Latency = false;           ///< single-iteration firing
   uint32_t NOutputs = 0;          ///< 0: the server's default window
   int64_t DeadlineMillis = 0;     ///< 0: the server's default deadline
   bool CountOps = false;          ///< report FLOPs (adds overhead)
   std::vector<double> Input;      ///< external input items (often empty)
+  bool Shard = false;             ///< split steady iterations over workers
 };
 
 /// A decoded request: the kind tag plus the Run payload when Kind is

@@ -5,8 +5,8 @@
 // op tapes, packed matrices, native prototypes), golden-file byte
 // stability, cache-key coverage (every CompiledOptions field perturbs
 // the digest), ProgramCache observability, the disk tier (zero-pass
-// loads that are bit-identical in outputs AND FLOP counts across the
-// Compiled and Parallel engines), and the failure paths: corrupt,
+// loads that are bit-identical in outputs AND FLOP counts on one thread
+// and sharded), and the failure paths: corrupt,
 // truncated and version-mismatched files must fall back to a clean
 // recompile, never crash or serve stale bytes.
 //
@@ -95,16 +95,32 @@ std::vector<double> runProgram(const CompiledProgramRef &P, size_t N) {
   return Out;
 }
 
+/// measureSteadyState's counting window over \p P, on one thread or
+/// sharded across a ParallelExecutor.
 Measurement measureProgram(const Stream &Root, const CompiledProgramRef &P,
-                           Engine Eng) {
+                           bool Sharded) {
   MeasureOptions MO;
   MO.WarmupOutputs = 64;
   MO.MeasureOutputs = 256;
   MO.MeasureTime = false;
-  MO.Exec.Eng = Eng;
+  MO.Exec.Eng = Engine::Compiled;
   MO.Program = P;
-  return measureSteadyState(Root, MO);
+  if (!Sharded)
+    return measureSteadyState(Root, MO);
+  ParallelExecutor E(P, ParallelOptions());
+  ops::CountingScope Scope;
+  ops::reset();
+  E.tryRun(MO.WarmupOutputs).orDie();
+  OpCounts Before = ops::counts();
+  size_t OutBefore = E.outputsProduced();
+  E.tryRun(OutBefore + MO.MeasureOutputs).orDie();
+  Measurement M;
+  M.Ops = ops::counts() - Before;
+  M.Outputs = E.outputsProduced() - OutBefore;
+  return M;
 }
+
+const char *runKind(bool Sharded) { return Sharded ? "sharded" : "one thread"; }
 
 /// A scoped artifact directory: points the global store at a fresh temp
 /// directory and restores a clean, store-less state afterwards.
@@ -281,7 +297,7 @@ TEST(ArtifactRoundTrip, OptimizedNativePrototypes) {
 
 // The real applications, AutoSel-optimized (frequency natives, packed
 // kernels, null splitters, init work): a loaded artifact must behave
-// bit-identically — outputs and FLOP counts — on both artifact engines.
+// bit-identically — outputs and FLOP counts — on one thread and sharded.
 TEST(ArtifactRoundTrip, BenchmarkAppsAutoSelLoadedBitIdentity) {
   StoreGuard Guard;
   for (const char *Name : {"FIR", "RateConvert", "FilterBank", "Radar"}) {
@@ -306,13 +322,15 @@ TEST(ArtifactRoundTrip, BenchmarkAppsAutoSelLoadedBitIdentity) {
 
     EXPECT_EQ(runProgram(Warm.Program, 512), runProgram(Cold.Program, 512))
         << Name;
-    for (Engine Eng : {Engine::Compiled, Engine::Parallel}) {
-      Measurement MCold = measureProgram(*Cold.Optimized, Cold.Program, Eng);
-      Measurement MWarm = measureProgram(*Warm.Optimized, Warm.Program, Eng);
+    for (bool Sharded : {false, true}) {
+      Measurement MCold =
+          measureProgram(*Cold.Optimized, Cold.Program, Sharded);
+      Measurement MWarm =
+          measureProgram(*Warm.Optimized, Warm.Program, Sharded);
       EXPECT_EQ(MCold.Ops.flops(), MWarm.Ops.flops())
-          << Name << " on " << engineName(Eng);
+          << Name << " on " << runKind(Sharded);
       EXPECT_EQ(MCold.Outputs, MWarm.Outputs)
-          << Name << " on " << engineName(Eng);
+          << Name << " on " << runKind(Sharded);
     }
   }
 }
@@ -529,7 +547,7 @@ TEST(DiskTier, ProgramCacheLoadsFromDiskAfterClear) {
 // of an optimizing configuration resolves entirely through the artifact
 // store — zero compiler passes, asserted via the pass-manager records —
 // and the loaded program is bit-identical in outputs AND FLOP counts to
-// the fresh compile on both artifact engines.
+// the fresh compile, on one thread and sharded.
 TEST(DiskTier, WarmPipelineCompileRunsZeroPassesAndIsBitIdentical) {
   StoreGuard Guard;
   StreamPtr Root = firPipeline({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "warm");
@@ -562,17 +580,15 @@ TEST(DiskTier, WarmPipelineCompileRunsZeroPassesAndIsBitIdentical) {
   EXPECT_EQ(Warm.Program->buildStats().ScheduleSeconds, 0.0);
   EXPECT_EQ(Warm.Program->buildStats().TapeSeconds, 0.0);
 
-  // Same optimized structure, bit-identical behaviour on both engines.
+  // Same optimized structure, bit-identical on one thread and sharded.
   EXPECT_EQ(structuralHash(*Warm.Optimized), structuralHash(*Cold.Optimized));
   EXPECT_EQ(runProgram(Warm.Program, 256), runProgram(Cold.Program, 256));
-  for (Engine Eng : {Engine::Compiled, Engine::Parallel}) {
-    Measurement MCold = measureProgram(*Cold.Optimized, Cold.Program, Eng);
-    Measurement MWarm = measureProgram(*Warm.Optimized, Warm.Program, Eng);
-    EXPECT_EQ(MCold.Ops.flops(), MWarm.Ops.flops())
-        << "engine " << engineName(Eng);
-    EXPECT_EQ(MCold.Ops.mults(), MWarm.Ops.mults())
-        << "engine " << engineName(Eng);
-    EXPECT_EQ(MCold.Outputs, MWarm.Outputs) << "engine " << engineName(Eng);
+  for (bool Sharded : {false, true}) {
+    Measurement MCold = measureProgram(*Cold.Optimized, Cold.Program, Sharded);
+    Measurement MWarm = measureProgram(*Warm.Optimized, Warm.Program, Sharded);
+    EXPECT_EQ(MCold.Ops.flops(), MWarm.Ops.flops()) << runKind(Sharded);
+    EXPECT_EQ(MCold.Ops.mults(), MWarm.Ops.mults()) << runKind(Sharded);
+    EXPECT_EQ(MCold.Outputs, MWarm.Outputs) << runKind(Sharded);
   }
 }
 

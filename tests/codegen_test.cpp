@@ -11,9 +11,10 @@
 // doubles bit-exact, warning-free emitted parts, the split build (shapes
 // partitioned across concurrently compiled parts linked into one .so,
 // and a failing part that leaves no child process or file behind), the
-// pipeline's native-codegen pass bookkeeping, and FLOP-count preservation
-// (counting runs fall back to the tapes, so Engine::Native reports the
-// interpreter's numbers).
+// pipeline's native-codegen pass bookkeeping, sharded native runs
+// (bit-identical at every worker count and under a shard-seed fault),
+// and FLOP-count preservation (counting runs fall back to the tapes, so
+// Engine::Native reports the interpreter's numbers).
 //
 // Every native compile here shells out to the real toolchain; tests that
 // need one GTEST_SKIP when discoverCompiler() finds none.
@@ -28,6 +29,7 @@
 #include "compiler/Program.h"
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
+#include "exec/Parallel.h"
 #include "support/OpCounters.h"
 #include "support/RuntimeConfig.h"
 #include "wir/CxxEmit.h"
@@ -447,10 +449,11 @@ CompiledProgramRef autoSelApp(const std::string &Name) {
   return nullptr;
 }
 
-/// Radar under AutoSel, compiled fresh (the optimized stream included).
-CompileResult radarAutoSel() {
+/// The app named \p Name under AutoSel, compiled fresh (the optimized
+/// stream included).
+CompileResult compileAutoSel(const std::string &Name) {
   for (const apps::BenchmarkEntry &B : apps::allBenchmarks())
-    if (B.Name == "Radar") {
+    if (B.Name == Name) {
       StreamPtr Root = B.Build();
       PipelineOptions PO;
       PO.Mode = OptMode::AutoSel;
@@ -458,7 +461,7 @@ CompileResult radarAutoSel() {
       PO.UseProgramCache = false;
       return CompilerPipeline(PO).tryCompile(*Root).orDie();
     }
-  ADD_FAILURE() << "no Radar benchmark";
+  ADD_FAILURE() << "no " << Name << " benchmark";
   return CompileResult();
 }
 
@@ -505,7 +508,7 @@ TEST(NativeCodegen, RadarSplitBuildIsOneModuleBitIdenticalToDynamic) {
   if (!haveToolchain())
     GTEST_SKIP() << "no C++ toolchain available";
   NativeGuard NG;
-  CompileResult R = radarAutoSel();
+  CompileResult R = compileAutoSel("Radar");
   ASSERT_NE(R.Program, nullptr);
   std::string Tmp = (std::filesystem::temp_directory_path() /
                      ("slin-codegen-split-" + std::to_string(::getpid())))
@@ -692,6 +695,92 @@ TEST(NativeCodegen, EmittedUnitsCompileWithoutWarnings) {
   }
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);
+}
+
+//===----------------------------------------------------------------------===//
+// Sharded native runs
+//===----------------------------------------------------------------------===//
+
+/// Observable outputs of a sharded run (printed values for void->void
+/// graphs).
+std::vector<double> observed(const ParallelExecutor &E) {
+  return E.program().graph().RootProducesOutput ? E.outputSnapshot()
+                                                : E.printed();
+}
+
+TEST(NativeCodegen, ShardedNativeRunsBitIdenticalToDynamic) {
+  if (!haveToolchain())
+    GTEST_SKIP() << "no C++ toolchain available";
+  NativeGuard NG;
+  for (const char *Name : {"Radar", "FMRadio", "Vocoder"}) {
+    CompileResult R = compileAutoSel(Name);
+    ASSERT_NE(R.Program, nullptr) << Name;
+    ASSERT_TRUE(R.Program->shardInfo().Shardable) << Name;
+    std::string Reason;
+    codegen::NativeModuleRef M =
+        codegen::NativeModuleCache::global().get(*R.Program, &Reason);
+    ASSERT_NE(M, nullptr) << Name << ": " << Reason;
+    // A span that fans out to four shards of at least ShardMinIterations
+    // (8) and the washout each.
+    int64_t Span =
+        4 * std::max<int64_t>(8, R.Program->shardInfo().WashoutIterations);
+
+    // 1024 outputs, then a fanned-out span continuing the same stream.
+    std::vector<double> Ref;
+    long Held = M.use_count();
+    for (int W = 1; W <= 4; ++W) {
+      ParallelExecutor E(R.Program, {W, 8}, M);
+      E.tryRun(1024).orDie();
+      ASSERT_GE(E.outputsProduced(), 1024u) << Name;
+      E.tryRunIterations(Span).orDie();
+      EXPECT_EQ(E.lastRunStats().ShardsUsed, W) << Name;
+      // The module is attached to the last shard, kept to continue the
+      // stream (outputs alone cannot tell native code from the tapes).
+      EXPECT_EQ(M.use_count(), Held + 2) << Name << " at " << W;
+      if (Ref.empty())
+        Ref = collectOutputs(*R.Optimized, E.outputsProduced(),
+                             Engine::Dynamic);
+      EXPECT_EQ(observed(E), Ref) << Name << " at " << W << " workers";
+    }
+
+    // Counting runs fire the tapes on every shard: the same FLOPs as a
+    // single-thread tape run.
+    OpCounts Tape, Sharded;
+    {
+      CompiledExecutor E(R.Program);
+      ops::CountingScope Scope;
+      OpCounts Before = ops::counts();
+      E.tryRunIterations(Span).orDie();
+      Tape = ops::counts() - Before;
+    }
+    {
+      ParallelExecutor E(R.Program, {4, 8}, M);
+      ops::CountingScope Scope;
+      OpCounts Before = ops::counts();
+      E.tryRunIterations(Span).orDie();
+      Sharded = ops::counts() - Before;
+      EXPECT_EQ(E.lastRunStats().ShardsUsed, 4) << Name;
+    }
+    EXPECT_GT(Tape.flops(), 0u) << Name;
+    EXPECT_TRUE(Tape == Sharded)
+        << Name << ": " << Tape.flops() << " vs " << Sharded.flops();
+
+    // Every shard seed corrupted: the span falls back to one sequential
+    // native run and stays bit-identical.
+    faults::reset();
+    faults::arm(faults::Point::ShardSeedCorrupt, 1, /*Persistent=*/true);
+    {
+      ParallelExecutor E(R.Program, {4, 8}, M);
+      Status St = E.tryRunIterations(Span);
+      ASSERT_TRUE(St.isOk()) << Name << ": " << St.str();
+      EXPECT_TRUE(E.lastRunStats().Sequential) << Name;
+      std::vector<double> Out = observed(E);
+      ASSERT_LE(Out.size(), Ref.size()) << Name;
+      EXPECT_TRUE(std::equal(Out.begin(), Out.end(), Ref.begin())) << Name;
+    }
+    EXPECT_GE(faults::hitCount(faults::Point::ShardSeedCorrupt), 1u);
+    faults::reset();
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -245,44 +245,18 @@ TEST(Exec, DeadlockIsReported) {
   EXPECT_NE(St.message().find("deadlock"), std::string::npos);
 }
 
-TEST(Exec, BatchLimitOneStillCorrect) {
-  // BatchLimit = 1 forces strict round-robin sweeps; outputs must not
-  // change, only the firing interleaving.
-  Pipeline P("p");
-  P.add(makeCountingSource());
-  P.add(makeFIR({1, 2, 3}));
-  P.add(makePrinterSink());
-  Executor::Options O;
-  O.BatchLimit = 1;
-  Executor E(P, O);
-  E.tryRun(4).orDie();
-  ASSERT_GE(E.printed().size(), 4u);
-  for (int K = 0; K != 4; ++K)
-    EXPECT_DOUBLE_EQ(E.printed()[static_cast<size_t>(K)], 6.0 * K + 8.0);
-}
-
 TEST(Exec, ChannelCapDerivation) {
   // A channel's cap is derived from its consumer's peek requirement:
-  // max(MinChannelCap, 2 * need), clamped to ChannelCap.
-  auto F = makeFIR({1, 2, 3, 4, 5, 6, 7, 8}); // peek 8
+  // twice the requirement, at least 64.
   {
-    Executor::Options O;
-    O.MinChannelCap = 4;
-    Executor E(*F, O);
-    EXPECT_EQ(E.channelCap(0), 16u); // external input channel: 2 * 8
+    auto F = makeFIR({1, 2, 3, 4, 5, 6, 7, 8}); // peek 8
+    Executor E(*F);
+    EXPECT_EQ(E.channelCap(0), 64u); // 2 * 8 = 16, raised to the floor
   }
   {
-    Executor::Options O;
-    O.MinChannelCap = 4;
-    O.ChannelCap = 10;
-    Executor E(*F, O);
-    EXPECT_EQ(E.channelCap(0), 10u); // clamped to the global cap
-  }
-  {
-    Executor::Options O;
-    O.MinChannelCap = 64;
-    Executor E(*F, O);
-    EXPECT_EQ(E.channelCap(0), 64u); // floor at MinChannelCap
+    auto F = makeFIR(std::vector<double>(40, 1.0)); // peek 40
+    Executor E(*F);
+    EXPECT_EQ(E.channelCap(0), 80u); // external input channel: 2 * 40
   }
 }
 
@@ -301,24 +275,6 @@ TEST(Exec, SweepThatFiresNothingDiagnosesDeadlock) {
             std::string::npos);
 }
 
-TEST(Exec, TinyChannelCapStillMakesProgress) {
-  // Even with the smallest possible caps the bounded scheduler must
-  // deliver correct output (producers stall until consumers drain).
-  Pipeline P("p");
-  P.add(makeCountingSource());
-  P.add(makeGain(2));
-  P.add(makePrinterSink());
-  Executor::Options O;
-  O.MinChannelCap = 1;
-  O.ChannelCap = 2;
-  O.BatchLimit = 3;
-  Executor E(P, O);
-  E.tryRun(16).orDie();
-  ASSERT_GE(E.printed().size(), 16u);
-  for (int K = 0; K != 16; ++K)
-    EXPECT_DOUBLE_EQ(E.printed()[static_cast<size_t>(K)], 2.0 * K);
-}
-
 TEST(Measure, FIRFlopsPerOutput) {
   Pipeline P("FIRProgram");
   P.add(makeCountingSource());
@@ -328,7 +284,6 @@ TEST(Measure, FIRFlopsPerOutput) {
   Opts.WarmupOutputs = 64;
   Opts.MeasureOutputs = 2048;
   Opts.MeasureTime = false;
-  Opts.Exec.Dynamic.BatchLimit = 8; // keep in-flight noise small
   Measurement M = measureSteadyState(P, Opts);
   // Per output: 8 muls + 8 adds in the FIR, 1 add in the source.
   EXPECT_NEAR(M.multsPerOutput(), 8.0, 0.4);

@@ -932,7 +932,7 @@ TEST(PoolFaults, PersistentShardCorruptionServesSequentiallyBitIdentical) {
   std::vector<double> Clean = runProgram(P, 256);
 
   // Every shard-seed attempt is corrupted for the whole burst: each
-  // parallel-engine request must absorb the anomaly and fall back to an
+  // sharded request must absorb the anomaly and fall back to an
   // equivalent sequential run — all Ok, outputs bit-identical.
   faults::arm(faults::Point::ShardSeedCorrupt, 1, /*Persistent=*/true);
   ExecutorPool Pool(P, 4);
@@ -940,7 +940,7 @@ TEST(PoolFaults, PersistentShardCorruptionServesSequentiallyBitIdentical) {
   for (int I = 0; I != 6; ++I) {
     ExecutorPool::Request R;
     R.NOutputs = 256;
-    R.Eng = Engine::Parallel;
+    R.Shard = true;
     Futures.push_back(Pool.submit(std::move(R)));
   }
   for (auto &F : Futures) {

@@ -393,7 +393,7 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkShardedEquivalence,
                          ::testing::ValuesIn(benchCases()), benchCaseName);
 
 //===----------------------------------------------------------------------===//
-// Measurement over the parallel engine
+// Measurement over sharded runs
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelMeasure, FlopTotalsMatchCompiledEngine) {
@@ -406,10 +406,19 @@ TEST(ParallelMeasure, FlopTotalsMatchCompiledEngine) {
   MO.Program = makeProgram(*Root);
   Measurement Single = measureSteadyState(*Root, MO);
 
-  MO.Exec.Eng = Engine::Parallel;
-  MO.Exec.Compiled.Parallel.Workers = 4;
-  MO.Exec.Compiled.Parallel.ShardMinIterations = 8;
-  Measurement Par = measureSteadyState(*Root, MO);
+  // measureSteadyState's counting window, on a sharded run.
+  Measurement Par;
+  {
+    ParallelExecutor E(MO.Program, {4, 8});
+    ops::CountingScope Scope;
+    ops::reset();
+    E.tryRun(MO.WarmupOutputs).orDie();
+    OpCounts Before = ops::counts();
+    size_t OutBefore = E.outputsProduced();
+    E.tryRun(OutBefore + MO.MeasureOutputs).orDie();
+    Par.Ops = ops::counts() - Before;
+    Par.Outputs = E.outputsProduced() - OutBefore;
+  }
 
   // Worker-thread counters must aggregate into the measured result: same
   // windows, same totals.

@@ -245,7 +245,8 @@ TEST(Protocol, RequestRoundTripsEveryKind) {
   Request Req;
   Req.Kind = MsgKind::Run;
   Req.Run.Graph = "FIR";
-  Req.Run.Eng = Engine::Parallel;
+  Req.Run.Eng = Engine::Native;
+  Req.Run.Shard = true;
   Req.Run.Latency = true;
   Req.Run.NOutputs = 4096;
   Req.Run.DeadlineMillis = 1500;
@@ -259,7 +260,8 @@ TEST(Protocol, RequestRoundTripsEveryKind) {
   Request Back = ER.take();
   EXPECT_EQ(Back.Kind, MsgKind::Run);
   EXPECT_EQ(Back.Run.Graph, "FIR");
-  EXPECT_EQ(Back.Run.Eng, Engine::Parallel);
+  EXPECT_EQ(Back.Run.Eng, Engine::Native);
+  EXPECT_TRUE(Back.Run.Shard);
   EXPECT_TRUE(Back.Run.Latency);
   EXPECT_EQ(Back.Run.NOutputs, 4096u);
   EXPECT_EQ(Back.Run.DeadlineMillis, 1500);
@@ -276,6 +278,22 @@ TEST(Protocol, RequestRoundTripsEveryKind) {
     ASSERT_TRUE(ES.hasValue());
     EXPECT_EQ(ES.take().Kind, K);
   }
+}
+
+TEST(Protocol, RunFrameWithoutShardFlagIsCorrupt) {
+  // The Run layout before the shard flag was appended, with engine byte
+  // 2 (then the sharded engine, now Native): one byte short, so it must
+  // be refused rather than read as a different request.
+  serial::Writer W;
+  W.u8(static_cast<uint8_t>(MsgKind::Run));
+  W.str("FIR");
+  W.u8(2);          // engine
+  W.boolean(false); // latency
+  W.u32(256);       // outputs
+  W.i64(0);         // deadline
+  W.boolean(false); // count ops
+  W.f64s({1.0, 2.0});
+  EXPECT_EQ(decodeRequest(W.bytes()).status().code(), ErrorCode::Corrupt);
 }
 
 TEST(Protocol, ResponseRoundTripsRunStatsAndLists) {
@@ -406,6 +424,14 @@ TEST(ServiceServer, ServesWarmRunsBitIdenticalToLocalExecution) {
   EXPECT_EQ(firstN(Resp.Outputs, N), Ref);
   EXPECT_GT(Resp.Flops, 0u);
   EXPECT_GT(Resp.ServerSeconds, 0.0);
+
+  // The same request sharded over the pool's program options.
+  R.Shard = true;
+  Expected<RunResponse> ES = C.run(R);
+  ASSERT_TRUE(ES.hasValue()) << ES.status().str();
+  RunResponse Sharded = ES.take();
+  ASSERT_TRUE(Sharded.St.isOk()) << Sharded.St.str();
+  EXPECT_EQ(firstN(Sharded.Outputs, N), Ref);
 
   // Unknown graph: an admission refusal travels as a reply and the
   // connection (and daemon) survive.

@@ -9,6 +9,7 @@
 ///   slin-service-client --unix /tmp/slin.sock list
 ///   slin-service-client --unix /tmp/slin.sock stats --json
 ///   slin-service-client --unix /tmp/slin.sock run --graph FIR -n 1024
+///   slin-service-client --unix /tmp/slin.sock run --graph FIR --shard
 ///   slin-service-client --tcp 9090 shutdown
 ///
 //===----------------------------------------------------------------------===//
@@ -39,15 +40,13 @@ void usage() {
       "  list                        serving-set graph names\n"
       "  stats [--json]              unified counter snapshot\n"
       "  shutdown                    ask the daemon to exit\n"
-      "  run --graph NAME [-n N] [--engine compiled|parallel|native]\n"
+      "  run --graph NAME [-n N] [--engine compiled|native] [--shard]\n"
       "      [--latency] [--deadline-ms N] [--count-ops]\n");
 }
 
 bool parseEngine(const std::string &S, Engine &E) {
   if (S == "compiled")
     E = Engine::Compiled;
-  else if (S == "parallel")
-    E = Engine::Parallel;
   else if (S == "native")
     E = Engine::Native;
   else
@@ -99,12 +98,20 @@ int main(int Argc, char **Argv) {
           static_cast<uint32_t>(Count(std::numeric_limits<uint32_t>::max()));
     else if (Arg == "--engine") {
       std::string E = Value();
+      if (E == "parallel") {
+        std::fprintf(stderr, "slin-service-client: --engine parallel is "
+                             "gone; pass --shard to split a run over "
+                             "workers\n");
+        return 2;
+      }
       if (!parseEngine(E, Run.Eng)) {
         std::fprintf(stderr, "slin-service-client: unknown engine '%s'\n",
                      E.c_str());
         return 2;
       }
-    } else if (Arg == "--latency")
+    } else if (Arg == "--shard")
+      Run.Shard = true;
+    else if (Arg == "--latency")
       Run.Latency = true;
     else if (Arg == "--deadline-ms")
       Run.DeadlineMillis =
