@@ -23,8 +23,8 @@ namespace slin {
 /// Knobs of sharded runs (exec/Parallel.h), which split a
 /// CompiledProgram's steady iterations across worker threads.
 struct ParallelOptions {
-  /// Worker threads a sharded run fans out to (also the executor-pool
-  /// size). 0 picks the hardware concurrency.
+  /// Worker threads a sharded run fans out to. 0 picks the hardware
+  /// concurrency.
   int Workers = 4;
   /// Minimum steady iterations per shard; a run too short to give every
   /// worker this much (or a program whose shard-boundary state cannot be

@@ -6,6 +6,7 @@
 #include "support/MathUtil.h"
 
 #include <algorithm>
+#include <thread>
 
 using namespace slin;
 
@@ -385,114 +386,4 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
     }
   }
   return Status::ok();
-}
-
-//===----------------------------------------------------------------------===//
-// ExecutorPool
-//===----------------------------------------------------------------------===//
-
-ExecutorPool::ExecutorPool(CompiledProgramRef Program, int Workers)
-    : Prog(std::move(Program)) {
-  int N = resolveWorkerCount(Workers > 0 ? Workers
-                                         : Prog->options().Parallel.Workers);
-  Threads.reserve(static_cast<size_t>(N));
-  for (int I = 0; I != N; ++I)
-    Threads.emplace_back([this] { workerLoop(); });
-}
-
-ExecutorPool::~ExecutorPool() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stopping = true;
-  }
-  Ready.notify_all();
-  for (std::thread &T : Threads)
-    T.join();
-}
-
-std::future<ExecutorPool::Result> ExecutorPool::submit(Request R) {
-  Job J;
-  J.Req = std::move(R);
-  std::future<Result> F = J.Promise.get_future();
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    assert(!Stopping && "submit on a stopping pool");
-    Queue.push_back(std::move(J));
-  }
-  Ready.notify_one();
-  return F;
-}
-
-uint64_t ExecutorPool::served() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Counters.Served;
-}
-
-ExecutorPool::Stats ExecutorPool::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Counters;
-}
-
-size_t ExecutorPool::queueDepth() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Queue.size();
-}
-
-void ExecutorPool::workerLoop() {
-  for (;;) {
-    Job J;
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      Ready.wait(Lock, [this] { return Stopping || !Queue.empty(); });
-      if (Queue.empty())
-        return; // stopping and drained
-      J = std::move(Queue.front());
-      Queue.pop_front();
-    }
-    faults::RunDeadline DL =
-        faults::RunDeadline::afterMillis(J.Req.DeadlineMillis);
-    const faults::RunDeadline *DLP = J.Req.DeadlineMillis > 0 ? &DL : nullptr;
-    Result R;
-    OpCounts Before = ops::counts();
-    auto Start = std::chrono::steady_clock::now();
-    {
-      ops::CountingScope Scope(J.Req.CountOps);
-      if (J.Req.Shard && !J.Req.Latency) {
-        ParallelExecutor E(Prog, Prog->options().Parallel, J.Req.Native);
-        E.provideInput(J.Req.Input);
-        R.St = E.tryRun(J.Req.NOutputs, DLP);
-        if (R.St.isOk())
-          R.Outputs = Prog->graph().RootProducesOutput ? E.outputSnapshot()
-                                                       : E.printed();
-      } else {
-        CompiledExecutor E(Prog, J.Req.Native);
-        E.provideInput(J.Req.Input);
-        R.St = J.Req.Latency
-                   ? E.tryRunLatency(J.Req.NOutputs, DLP,
-                                     &R.FirstOutputSeconds)
-                   : E.tryRun(J.Req.NOutputs, DLP);
-        if (R.St.isOk())
-          R.Outputs = Prog->graph().RootProducesOutput ? E.outputSnapshot()
-                                                       : E.printed();
-      }
-    }
-    R.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
-    R.Ops = ops::counts() - Before;
-    {
-      // Count before fulfilling: a caller that observed the future must
-      // also observe the increment.
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (R.St.isOk())
-        ++Counters.Served;
-      else if (R.St.code() == ErrorCode::Timeout ||
-               R.St.code() == ErrorCode::Cancelled)
-        ++Counters.Timeouts;
-      else
-        ++Counters.Failures;
-    }
-    J.Promise.set_value(std::move(R));
-  }
 }

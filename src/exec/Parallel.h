@@ -1,31 +1,25 @@
 //===- exec/Parallel.h - Parallel sharded execution backend -----*- C++ -*-===//
 ///
 /// \file
-/// The multi-threaded execution layer over immutable CompiledProgram
-/// artifacts (compiler/Program.h), in two modes:
-///
-///  * **Sharded steady state** (ParallelExecutor): one run's steady
-///    iterations are split into per-worker shards, each served by an
-///    independent CompiledExecutor instance over the same shared program.
-///    Steady-state stream execution composes: the state at iteration k is
-///    a function of closed-form filter progressions (seeded exactly) plus
-///    a bounded window of recent data (channel leftovers, delay lines,
-///    kernel partials), so a worker jumps to its shard boundary by
-///    seeding and then replaying the schedule's washout depth
-///    (sched/Schedule.h computeShardBoundary) with outputs discarded.
-///    Shard outputs are spliced in order; the result — values AND FLOP
-///    counts — is bit-identical to a single-threaded run of the same
-///    iterations. Programs whose state cannot be reconstructed (feedback
-///    loops, opaque filter state) degrade to an equivalent sequential
-///    run, never to an error. Sharding is independent of the backend:
-///    every executor a run builds carries the native module the caller
-///    resolved (null: op tapes).
-///
-///  * **Executor pool** (ExecutorPool): a fixed worker pool serving
-///    concurrent independent run requests against one shared program —
-///    the "compile once, serve many users" path. Each request gets a
-///    fresh CompiledExecutor instance (a ParallelExecutor when it asks to
-///    shard); the artifact is never mutated.
+/// Sharded steady-state execution over immutable CompiledProgram
+/// artifacts (compiler/Program.h). ParallelExecutor splits one run's
+/// steady iterations into per-worker shards, each served by an
+/// independent CompiledExecutor instance over the same shared program.
+/// Steady-state stream execution composes: the state at iteration k is a
+/// function of closed-form filter progressions (seeded exactly) plus a
+/// bounded window of recent data (channel leftovers, delay lines, kernel
+/// partials), so a worker jumps to its shard boundary by seeding and then
+/// replaying the schedule's washout depth (sched/Schedule.h
+/// computeShardBoundary) with outputs discarded. Shard outputs are
+/// spliced in order; the result — values AND FLOP counts — is
+/// bit-identical to a single-threaded run of the same iterations.
+/// Programs whose state cannot be reconstructed (feedback loops, opaque
+/// filter state) degrade to an equivalent sequential run, never to an
+/// error. Sharding is independent of the backend: every executor a run
+/// builds carries the native module the caller resolved (null: op
+/// tapes). Concurrent independent requests need no pool: each caller
+/// builds its own executor over the shared program (service/Admission.h
+/// bounds how many run at once).
 ///
 /// Worker-thread FLOP counts are folded back into the submitting thread's
 /// counters (support/OpCounters.h accumulate), so measurements over
@@ -43,13 +37,9 @@
 #include "support/FaultInjection.h"
 #include "support/OpCounters.h"
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 namespace slin {
@@ -153,76 +143,6 @@ private:
   size_t ContInFed = 0; ///< items of In already handed to Cont
   /// Lazily probed outputs-per-iteration for print-driven graphs.
   int64_t ProbedPerIterOut = -1;
-};
-
-/// A fixed pool of worker threads serving independent run requests
-/// against one shared CompiledProgram.
-class ExecutorPool {
-public:
-  struct Request {
-    std::vector<double> Input;
-    size_t NOutputs = 0;
-    bool CountOps = false; ///< fill Result::Ops (adds counting overhead)
-
-    /// Serving extensions (src/service/): backend, sharding, deadline
-    /// and latency-mode firing. The defaults reproduce the original pool
-    /// behaviour (one op-tape executor per request, no deadline).
-    codegen::NativeModuleRef Native; ///< resolved by the caller; null: tapes
-    bool Shard = false;              ///< run on a ParallelExecutor
-    int64_t DeadlineMillis = 0;      ///< > 0: wall-clock run deadline
-    /// Latency mode: single steady iterations (bounded
-    /// time-to-first-output) instead of fused batches. Runs on one
-    /// CompiledExecutor even with Shard set — sharding is a throughput
-    /// device and cannot bound the first output.
-    bool Latency = false;
-  };
-  struct Result {
-    Status St; ///< non-Ok (Deadlock/Timeout/Cancelled): Outputs unusable
-    std::vector<double> Outputs; ///< external channel (or printed) values
-    OpCounts Ops;
-    double Seconds = 0.0; ///< wall-clock of the run itself (queue excluded)
-    double FirstOutputSeconds = 0.0; ///< latency mode: time to first output
-  };
-
-  /// Outcome counters, snapshotted under the pool lock.
-  struct Stats {
-    uint64_t Served = 0;   ///< requests completed Ok
-    uint64_t Timeouts = 0; ///< Timeout/Cancelled results
-    uint64_t Failures = 0; ///< every other non-Ok result
-  };
-
-  /// \p Workers = 0 uses the program's parallel options (and 0 there
-  /// falls back to the hardware concurrency).
-  explicit ExecutorPool(CompiledProgramRef Program, int Workers = 0);
-  ~ExecutorPool(); ///< drains queued requests, then joins the workers
-
-  ExecutorPool(const ExecutorPool &) = delete;
-  ExecutorPool &operator=(const ExecutorPool &) = delete;
-
-  std::future<Result> submit(Request R);
-
-  int workers() const { return static_cast<int>(Threads.size()); }
-  uint64_t served() const;
-  Stats stats() const;
-
-  /// Queued (not yet started) requests — the admission layer's
-  /// queue-depth signal.
-  size_t queueDepth() const;
-
-private:
-  struct Job {
-    Request Req;
-    std::promise<Result> Promise;
-  };
-  void workerLoop();
-
-  CompiledProgramRef Prog;
-  mutable std::mutex Mutex;
-  std::condition_variable Ready;
-  std::deque<Job> Queue;
-  bool Stopping = false;
-  Stats Counters;
-  std::vector<std::thread> Threads;
 };
 
 /// Resolves a worker-count knob: 0 means "ask the hardware" (min 1).

@@ -11,13 +11,16 @@
 #include "apps/Benchmarks.h"
 #include "codegen/NativeModule.h"
 #include "compiler/ArtifactStore.h"
+#include "exec/CompiledExecutor.h"
 
+#include <chrono>
 #include <utility>
 
 using namespace slin;
 using namespace slin::service;
 
-Admission::Admission(ServiceConfig C) : Cfg(std::move(C)) {}
+Admission::Admission(ServiceConfig C)
+    : Cfg(std::move(C)), Slots(resolveWorkerCount(Cfg.Workers)) {}
 
 Admission::~Admission() = default;
 
@@ -68,7 +71,7 @@ Status Admission::start() {
       return Status(ErrorCode::Internal,
                     "unknown serving-set graph '" + Name + "'");
     if (findEntry(Name))
-      continue; // configured twice; one pool is plenty
+      continue; // configured twice; one entry is plenty
 
     StreamPtr Root = Found->Build();
     PipelineOptions Opts;
@@ -88,7 +91,6 @@ Status Admission::start() {
     auto E = std::make_unique<Entry>();
     E->Name = Name;
     E->Prog = R.Program;
-    E->Pool = std::make_unique<ExecutorPool>(R.Program, Cfg.Workers);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (R.ProgramCacheHit || R.Program->loadedFromArtifact())
@@ -99,9 +101,9 @@ Status Admission::start() {
     Entries.push_back(std::move(E));
   }
 
-  // Publish admission + aggregated pool counters once the serving set
-  // exists; the registration dies with this object, so a stopped
-  // service vanishes from snapshots instead of dangling.
+  // Publish the counters once the serving set exists; the registration
+  // dies with this object, so a stopped service vanishes from snapshots
+  // instead of dangling.
   StatsReg = StatsRegistry::Registration("service", [this](
                                                         StatsRegistry::Counters
                                                             &Out) {
@@ -115,18 +117,12 @@ Status Admission::start() {
     Out.emplace_back("prefetched_artifacts", C.PrefetchedArtifacts);
     Out.emplace_back("warm_starts", C.WarmStarts);
     Out.emplace_back("startup_compiles", C.StartupCompiles);
-    uint64_t Served = 0, Timeouts = 0, Failures = 0, Depth = 0;
+    uint64_t Waiting = 0;
     for (const auto &E : Entries) {
-      ExecutorPool::Stats S = E->Pool->stats();
-      Served += S.Served;
-      Timeouts += S.Timeouts;
-      Failures += S.Failures;
-      Depth += E->Pool->queueDepth();
+      std::lock_guard<std::mutex> Lock(E->SlotMutex);
+      Waiting += E->Waiting;
     }
-    Out.emplace_back("pool_served", Served);
-    Out.emplace_back("pool_timeouts", Timeouts);
-    Out.emplace_back("pool_failures", Failures);
-    Out.emplace_back("pool_queue_depth", Depth);
+    Out.emplace_back("queue_depth", Waiting);
   });
   return Status::ok();
 }
@@ -146,25 +142,24 @@ RunResponse Admission::run(const RunRequest &R) {
                      "graph '" + R.Graph + "' is not in the serving set");
     return Resp;
   }
-  if (E->Pool->queueDepth() >= Cfg.MaxQueueDepth) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Counts.Rejected;
-    Resp.St = Status(ErrorCode::Overloaded,
-                     "queue depth for '" + R.Graph + "' is at the cap (" +
-                         std::to_string(Cfg.MaxQueueDepth) + ")");
-    return Resp;
+  {
+    std::unique_lock<std::mutex> Slot(E->SlotMutex);
+    if (E->Waiting >= Cfg.MaxQueueDepth) {
+      Slot.unlock();
+      std::lock_guard<std::mutex> Lock(Mutex);
+      ++Counts.Rejected;
+      Resp.St = Status(ErrorCode::Overloaded,
+                       "queue depth for '" + R.Graph + "' is at the cap (" +
+                           std::to_string(Cfg.MaxQueueDepth) + ")");
+      return Resp;
+    }
+    ++E->Waiting;
+    E->SlotFreed.wait(Slot, [&] { return E->Running < Slots; });
+    --E->Waiting;
+    ++E->Running;
   }
 
-  ExecutorPool::Request Req;
-  Req.Input = R.Input;
-  Req.NOutputs = std::min(R.NOutputs ? R.NOutputs : Cfg.DefaultOutputs,
-                          Cfg.MaxOutputs);
-  Req.CountOps = R.CountOps;
-  Req.Shard = R.Shard;
-  Req.Latency = R.Latency;
-  Req.DeadlineMillis =
-      R.DeadlineMillis > 0 ? R.DeadlineMillis : Cfg.DefaultDeadlineMillis;
-
+  codegen::NativeModuleRef Native;
   if (R.Eng == Engine::Native) {
     // Resolve the program's native module once; unavailability is the
     // degradation ladder, not an error.
@@ -175,7 +170,7 @@ RunResponse Admission::run(const RunRequest &R) {
       E->NativeResolved = true;
     }
     if (E->Native) {
-      Req.Native = E->Native;
+      Native = E->Native;
     } else {
       Resp.Degraded = true;
       Resp.DegradeReason = E->NativeDegradeReason.empty()
@@ -184,20 +179,56 @@ RunResponse Admission::run(const RunRequest &R) {
     }
   }
 
-  ExecutorPool::Result Result = E->Pool->submit(std::move(Req)).get();
-  Resp.St = Result.St;
-  Resp.ServerSeconds = Result.Seconds;
-  Resp.FirstOutputSeconds = Result.FirstOutputSeconds;
-  if (Result.St.isOk()) {
-    Resp.Outputs = std::move(Result.Outputs);
-    Resp.Flops = static_cast<uint64_t>(Result.Ops.flops());
+  size_t NOutputs = std::min<size_t>(
+      R.NOutputs ? R.NOutputs : Cfg.DefaultOutputs, Cfg.MaxOutputs);
+  int64_t DeadlineMillis =
+      R.DeadlineMillis > 0 ? R.DeadlineMillis : Cfg.DefaultDeadlineMillis;
+  faults::RunDeadline DL = faults::RunDeadline::afterMillis(DeadlineMillis);
+  const faults::RunDeadline *DLP = DeadlineMillis > 0 ? &DL : nullptr;
+  const CompiledProgramRef &Prog = E->Prog;
+  OpCounts Before = ops::counts();
+  auto Start = std::chrono::steady_clock::now();
+  {
+    ops::CountingScope Scope(R.CountOps);
+    if (R.Shard && !R.Latency) {
+      ParallelExecutor X(Prog, Prog->options().Parallel, Native);
+      X.provideInput(R.Input);
+      Resp.St = X.tryRun(NOutputs, DLP);
+      if (Resp.St.isOk())
+        Resp.Outputs = Prog->graph().RootProducesOutput ? X.outputSnapshot()
+                                                        : X.printed();
+    } else {
+      CompiledExecutor X(Prog, Native);
+      X.provideInput(R.Input);
+      Resp.St = R.Latency ? X.tryRunLatency(NOutputs, DLP,
+                                            &Resp.FirstOutputSeconds)
+                          : X.tryRun(NOutputs, DLP);
+      if (Resp.St.isOk())
+        Resp.Outputs = Prog->graph().RootProducesOutput ? X.outputSnapshot()
+                                                        : X.printed();
+    }
+  }
+  Resp.ServerSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count();
+  if (Resp.St.isOk()) {
+    // A run stops at a batch or iteration boundary; ship what was asked.
+    if (Resp.Outputs.size() > NOutputs)
+      Resp.Outputs.resize(NOutputs);
+    Resp.Flops = static_cast<uint64_t>((ops::counts() - Before).flops());
   }
 
+  {
+    std::lock_guard<std::mutex> Slot(E->SlotMutex);
+    --E->Running;
+  }
+  E->SlotFreed.notify_one();
+
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Result.St.isOk())
+  if (Resp.St.isOk())
     ++Counts.Served;
-  else if (Result.St.code() == ErrorCode::Timeout ||
-           Result.St.code() == ErrorCode::Cancelled)
+  else if (Resp.St.code() == ErrorCode::Timeout ||
+           Resp.St.code() == ErrorCode::Cancelled)
     ++Counts.Timeouts;
   else
     ++Counts.Failures;

@@ -1,33 +1,34 @@
 //===- service/Admission.h - Serving set and request admission --*- C++ -*-===//
 ///
 /// \file
-/// The service's brain: a serving set of warm CompiledPrograms (one
-/// ExecutorPool per graph) and the admission/execution path every Run
-/// request takes. Startup warms the set in two steps — a bulk
-/// `ProgramCache::prefetchFrom` over every artifact the global store
-/// holds (`ArtifactStore::listArtifacts`), then a pipeline compile per
-/// serving-set graph that resolves through the warm cache (a restart
-/// against a populated store is *zero* compile passes). Per request:
+/// The service's brain: a serving set of warm CompiledPrograms and the
+/// admission/execution path every Run request takes. Startup warms the
+/// set in two steps — a bulk `ProgramCache::prefetchFrom` over every
+/// artifact the global store holds (`ArtifactStore::listArtifacts`), then
+/// a pipeline compile per serving-set graph that resolves through the
+/// warm cache (a restart against a populated store is *zero* compile
+/// passes). Per request, on the calling session thread:
 ///
-///  * **Admission**: unknown graphs are refused with Internal; a pool
-///    whose queue depth reached the configured cap refuses with
-///    Overloaded. Refusal is a reply, not a crash or a hang.
+///  * **Admission**: unknown graphs are refused with Internal. Each graph
+///    has `Workers` run slots; a request waits for a free one, and is
+///    refused with Overloaded when `MaxQueueDepth` requests already wait.
+///    Refusal is a reply, not a crash or a hang.
 ///  * **Backend and sharding**: Compiled runs the op tapes; Native
 ///    resolves the program's dlopen'd module once (lazily) and reports
 ///    the degradation when it cannot (exec/Engine.h's ladder); Dynamic
 ///    is served as Compiled. Shard runs either on a ParallelExecutor.
 ///  * **Deadline**: the request's DeadlineMillis (else the server
 ///    default, seeded from RuntimeConfig's SLIN_RUN_DEADLINE_MS) bounds
-///    the run; expiry returns a Timeout *response* and frees the
-///    worker.
+///    the run, armed once the request holds a slot; expiry returns a
+///    Timeout *response* and frees the slot.
 ///  * **Latency vs throughput**: latency-mode requests fire single
 ///    steady iterations for a bounded time-to-first-output; throughput
-///    requests run the fused batch programs. Same outputs, bit for bit.
+///    requests run the fused batch programs. Same outputs, bit for bit,
+///    and exactly the requested count in either mode.
 ///
 /// Counters for every step are published under the "service." prefix
-/// of the unified StatsRegistry, alongside aggregated per-pool
-/// ExecutorPool stats — the daemon's stats request is one snapshot()
-/// call.
+/// of the unified StatsRegistry — the daemon's stats request is one
+/// snapshot() call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +40,7 @@
 #include "service/Protocol.h"
 #include "support/StatsRegistry.h"
 
-#include <atomic>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,9 +54,10 @@ struct ServiceConfig {
   std::vector<std::string> Graphs;
   /// Optimization mode the serving set is compiled with.
   OptMode Mode = OptMode::AutoSel;
-  /// Worker threads per graph pool (0: the hardware default).
+  /// Requests run at once per graph (0: the hardware thread count).
   int Workers = 0;
-  /// Queued-request cap per graph; a deeper queue refuses (Overloaded).
+  /// Waiting-request cap per graph; a request that finds this many
+  /// waiting for a run slot is refused (Overloaded).
   size_t MaxQueueDepth = 64;
   /// Bulk-load every stored artifact into the program cache at startup.
   bool Prefetch = true;
@@ -76,15 +78,14 @@ public:
   Admission(const Admission &) = delete;
   Admission &operator=(const Admission &) = delete;
 
-  /// Warms the serving set (prefetch + compile-or-load) and starts the
-  /// pools. Non-Ok when a serving-set graph is unknown or fails even
-  /// the Base-mode compile; individual degradations are recorded, not
-  /// fatal.
+  /// Warms the serving set (prefetch + compile-or-load). Non-Ok when a
+  /// serving-set graph is unknown or fails even the Base-mode compile;
+  /// individual degradations are recorded, not fatal.
   Status start();
 
-  /// Admits and executes one Run request (blocking; called from
-  /// session threads concurrently). Every failure mode is reported in
-  /// the response's Status.
+  /// Admits and executes one Run request on the calling thread
+  /// (blocking; called from session threads concurrently). Every failure
+  /// mode is reported in the response's Status.
   RunResponse run(const RunRequest &R);
 
   /// Serving-set names, in configuration order.
@@ -108,7 +109,12 @@ private:
   struct Entry {
     std::string Name;
     CompiledProgramRef Prog;
-    std::unique_ptr<ExecutorPool> Pool;
+    /// Run slots: Running requests hold one, Waiting ones wait on
+    /// SlotFreed for one.
+    std::mutex SlotMutex;
+    std::condition_variable SlotFreed;
+    int Running = 0;
+    size_t Waiting = 0;
     /// Engine::Native module, resolved once on first use (null after a
     /// degradation; Reason records why).
     std::mutex NativeMutex;
@@ -120,6 +126,7 @@ private:
   Entry *findEntry(const std::string &Name);
 
   ServiceConfig Cfg;
+  int Slots; ///< resolved Cfg.Workers: run slots per graph
   std::vector<std::unique_ptr<Entry>> Entries;
   mutable std::mutex Mutex; ///< guards Counts
   Counters Counts;

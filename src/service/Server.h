@@ -6,7 +6,8 @@
 /// serve each on its own session thread. The "compile once, serve many
 /// users" endgame of the whole artifact stack — the pipeline compiles
 /// (or prefetches) a graph once, and every subsequent request anywhere
-/// on the machine is a warm ExecutorPool dispatch.
+/// on the machine runs the warm program on the session thread that read
+/// it.
 ///
 /// Lifecycle: `start()` warms and binds (non-Ok on any failure —
 /// unknown serving-set graph, unbindable socket); `waitForShutdown()`

@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Benchmarks.h"
 #include "codegen/CxxBackend.h"
 #include "codegen/NativeModule.h"
 #include "compiler/ArtifactStore.h"
@@ -24,6 +25,7 @@
 #include "compiler/StructuralHash.h"
 #include "exec/CompiledExecutor.h"
 #include "exec/Parallel.h"
+#include "service/Admission.h"
 #include "sched/Rates.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
@@ -881,79 +883,98 @@ TEST(NativeCodegenFaults, DiskTierDlopenFailureEvictsAndRebuilds) {
 }
 
 //===----------------------------------------------------------------------===//
-// Executor pool under concurrent requests with fault arms active
+// Concurrent service requests with fault arms active
 //===----------------------------------------------------------------------===//
 
-TEST(PoolFaults, OneHungRequestTimesOutOthersServeIdentically) {
+/// Service settings for the FIR benchmark alone, \p Workers run slots.
+service::ServiceConfig firService(int Workers) {
+  service::ServiceConfig Cfg;
+  Cfg.Graphs = {"FIR"};
+  Cfg.Mode = OptMode::Linear;
+  Cfg.Workers = Workers;
+  Cfg.Prefetch = false;
+  return Cfg;
+}
+
+/// The program a service configured by \p Cfg serves for FIR.
+CompiledProgramRef servedFIR(const service::ServiceConfig &Cfg) {
+  PipelineOptions Opts;
+  Opts.Mode = Cfg.Mode;
+  Opts.Exec.Eng = Engine::Compiled;
+  return compileStream(*apps::buildFIR(), Opts).Program;
+}
+
+/// Runs \p R on \p Adm from \p Count concurrent threads.
+std::vector<service::RunResponse> runConcurrently(service::Admission &Adm,
+                                                  const service::RunRequest &R,
+                                                  int Count) {
+  std::vector<service::RunResponse> Resps(static_cast<size_t>(Count));
+  std::vector<std::thread> Threads;
+  for (service::RunResponse &Resp : Resps)
+    Threads.emplace_back([&] { Resp = Adm.run(R); });
+  for (std::thread &T : Threads)
+    T.join();
+  return Resps;
+}
+
+TEST(AdmissionFaults, OneHungRequestTimesOutOthersServeIdentically) {
   FaultGuard G;
-  StreamPtr Root = firSourcePipeline({1.25, -0.5, 2.0, 0.75});
-  CompiledProgramRef P = makeProgram(*Root);
-  std::vector<double> Clean = runProgram(P, 128);
+  service::Admission Adm(firService(4));
+  ASSERT_TRUE(Adm.start().isOk());
+  std::vector<double> Clean = runProgram(servedFIR(firService(4)), 128);
 
   // One-shot hang: exactly one of the concurrent requests draws it,
   // parks until its deadline and comes back as a Timeout *result* —
-  // the pool worker survives and keeps serving.
+  // its slot is freed and the service keeps serving.
   faults::arm(faults::Point::ExecHang, 1);
-  ExecutorPool Pool(P, 4);
-  std::vector<std::future<ExecutorPool::Result>> Futures;
-  for (int I = 0; I != 8; ++I) {
-    ExecutorPool::Request R;
-    R.NOutputs = 128;
-    R.DeadlineMillis = 200;
-    Futures.push_back(Pool.submit(std::move(R)));
-  }
+  service::RunRequest R;
+  R.Graph = "FIR";
+  R.NOutputs = 128;
+  R.DeadlineMillis = 200;
   int Timeouts = 0, Ok = 0;
-  for (auto &F : Futures) {
-    ExecutorPool::Result R = F.get();
-    if (R.St.isOk()) {
+  for (const service::RunResponse &Resp : runConcurrently(Adm, R, 8)) {
+    if (Resp.St.isOk()) {
       ++Ok;
-      ASSERT_GE(R.Outputs.size(), Clean.size());
-      std::vector<double> Out = R.Outputs;
-      Out.resize(Clean.size());
-      EXPECT_EQ(Out, Clean);
+      EXPECT_EQ(Resp.Outputs, Clean);
     } else {
-      EXPECT_EQ(R.St.code(), ErrorCode::Timeout) << R.St.str();
+      EXPECT_EQ(Resp.St.code(), ErrorCode::Timeout) << Resp.St.str();
       ++Timeouts;
     }
   }
   EXPECT_EQ(Timeouts, 1);
   EXPECT_EQ(Ok, 7);
-  ExecutorPool::Stats S = Pool.stats();
-  EXPECT_EQ(S.Served, 7u);
-  EXPECT_EQ(S.Timeouts, 1u);
-  EXPECT_EQ(S.Failures, 0u);
+  service::Admission::Counters C = Adm.counters();
+  EXPECT_EQ(C.Served, 7u);
+  EXPECT_EQ(C.Timeouts, 1u);
+  EXPECT_EQ(C.Failures, 0u);
 }
 
-TEST(PoolFaults, PersistentShardCorruptionServesSequentiallyBitIdentical) {
+TEST(AdmissionFaults,
+     PersistentShardCorruptionServesSequentiallyBitIdentical) {
   FaultGuard G;
-  StreamPtr Root = firSourcePipeline({2.0, -1.5, 0.25});
-  CompiledProgramRef P = makeProgram(*Root);
+  service::Admission Adm(firService(4));
+  ASSERT_TRUE(Adm.start().isOk());
+  CompiledProgramRef P = servedFIR(firService(4));
   ASSERT_TRUE(P->shardInfo().Shardable) << P->shardInfo().Reason;
-  std::vector<double> Clean = runProgram(P, 256);
+  // FIR's washout is longer than a quarter of 256 iterations; 1024 give
+  // every one of four shards more than its washout.
+  std::vector<double> Clean = runProgram(P, 1024);
 
   // Every shard-seed attempt is corrupted for the whole burst: each
   // sharded request must absorb the anomaly and fall back to an
   // equivalent sequential run — all Ok, outputs bit-identical.
   faults::arm(faults::Point::ShardSeedCorrupt, 1, /*Persistent=*/true);
-  ExecutorPool Pool(P, 4);
-  std::vector<std::future<ExecutorPool::Result>> Futures;
-  for (int I = 0; I != 6; ++I) {
-    ExecutorPool::Request R;
-    R.NOutputs = 256;
-    R.Shard = true;
-    Futures.push_back(Pool.submit(std::move(R)));
-  }
-  for (auto &F : Futures) {
-    ExecutorPool::Result R = F.get();
-    ASSERT_TRUE(R.St.isOk()) << R.St.str();
-    ASSERT_GE(R.Outputs.size(), Clean.size());
-    std::vector<double> Out = R.Outputs;
-    Out.resize(Clean.size());
-    EXPECT_EQ(Out, Clean);
+  service::RunRequest R;
+  R.Graph = "FIR";
+  R.NOutputs = 1024;
+  R.Shard = true;
+  for (const service::RunResponse &Resp : runConcurrently(Adm, R, 6)) {
+    ASSERT_TRUE(Resp.St.isOk()) << Resp.St.str();
+    EXPECT_EQ(Resp.Outputs, Clean);
   }
   EXPECT_GE(faults::hitCount(faults::Point::ShardSeedCorrupt), 1u);
-  EXPECT_EQ(Pool.stats().Served, 6u);
-  EXPECT_EQ(Pool.stats().Failures, 0u);
+  EXPECT_EQ(Adm.counters().Served, 6u);
+  EXPECT_EQ(Adm.counters().Failures, 0u);
 }
 
 } // namespace

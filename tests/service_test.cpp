@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <sys/socket.h>
@@ -479,11 +480,45 @@ TEST(ServiceServer, LatencyModeSameOutputsBoundedFirstOutput) {
   EXPECT_EQ(firstN(LResp.Outputs, N), firstN(TResp.Outputs, N));
   EXPECT_GT(LResp.FirstOutputSeconds, 0.0);
   EXPECT_LE(LResp.FirstOutputSeconds, LResp.ServerSeconds);
-  // Throughput mode overshoots to batch granularity; single-iteration
-  // firing stops at iteration granularity, never beyond the batch.
-  EXPECT_LE(LResp.Outputs.size(), TResp.Outputs.size());
+  // Both modes ship exactly the requested outputs.
+  EXPECT_EQ(LResp.Outputs.size(), N);
+  EXPECT_EQ(TResp.Outputs.size(), N);
 
   Srv.stop();
+}
+
+TEST(ServiceAdmission, RepliesCarryExactlyTheRequestedOutputs) {
+  FaultGuard G;
+  ServiceConfig Cfg;
+  Cfg.Graphs = {"FIR", "FilterBank"};
+  Cfg.Mode = OptMode::Linear;
+  Cfg.Prefetch = false;
+  Admission Adm(Cfg);
+  ASSERT_TRUE(Adm.start().isOk());
+
+  // A run stops at a batch (throughput) or iteration (latency) boundary
+  // past the target; the reply must still hold exactly N values, and
+  // they must be the stream's first N.
+  for (const std::string Graph : {"FIR", "FilterBank"})
+    for (size_t N : {37, 256}) {
+      std::vector<double> Ref = localReference(Graph, N, Cfg.Mode);
+      for (Engine Eng : {Engine::Compiled, Engine::Native})
+        for (int Mode = 0; Mode != 3; ++Mode) {
+          RunRequest R;
+          R.Graph = Graph;
+          R.NOutputs = static_cast<uint32_t>(N);
+          R.Eng = Eng;
+          R.Latency = Mode == 1;
+          R.Shard = Mode == 2;
+          RunResponse Resp = Adm.run(R);
+          SCOPED_TRACE(Graph + " N=" + std::to_string(N) + " native=" +
+                       std::to_string(Eng == Engine::Native) +
+                       " mode=" + std::to_string(Mode));
+          ASSERT_TRUE(Resp.St.isOk()) << Resp.St.str();
+          EXPECT_EQ(Resp.Outputs.size(), N);
+          EXPECT_EQ(Resp.Outputs, Ref);
+        }
+    }
 }
 
 TEST(ServiceServer, DeadlineExpiryUnderInjectedHangIsATimeoutReply) {
@@ -540,6 +575,57 @@ TEST(ServiceServer, QueueCapRefusesWithOverloaded) {
 
   EXPECT_GE(Srv.admission().counters().Rejected, 1u);
   Srv.stop();
+}
+
+TEST(ServiceAdmission, WaitingCapRefusesOnlyBeyondTheWaitingRequests) {
+  FaultGuard G;
+  ServiceConfig Cfg;
+  Cfg.Graphs = {"FIR"};
+  Cfg.Mode = OptMode::Linear;
+  Cfg.Workers = 1;
+  Cfg.MaxQueueDepth = 1;
+  Cfg.Prefetch = false;
+  Admission Adm(Cfg);
+  ASSERT_TRUE(Adm.start().isOk());
+  auto QueueDepth = [] {
+    for (const auto &KV : StatsRegistry::global().snapshot())
+      if (KV.first == "service.queue_depth")
+        return static_cast<int64_t>(KV.second);
+    return int64_t(-1);
+  };
+  EXPECT_EQ(QueueDepth(), 0);
+
+  const size_t N = 64;
+  RunRequest R;
+  R.Graph = "FIR";
+  R.NOutputs = N;
+  R.DeadlineMillis = 3000;
+
+  // A draws the one-shot hang and holds the only slot until its
+  // deadline; B waits for that slot.
+  faults::arm(faults::Point::ExecHang, 1);
+  RunResponse A, B;
+  std::thread TA([&] { A = Adm.run(R); });
+  while (faults::hitCount(faults::Point::ExecHang) == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::thread TB([&] { B = Adm.run(R); });
+  while (QueueDepth() != 1)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // C finds one request waiting, which is the cap.
+  RunResponse C = Adm.run(R);
+  EXPECT_EQ(C.St.code(), ErrorCode::Overloaded) << C.St.str();
+
+  TA.join();
+  TB.join();
+  EXPECT_EQ(A.St.code(), ErrorCode::Timeout) << A.St.str();
+  ASSERT_TRUE(B.St.isOk()) << B.St.str();
+  EXPECT_EQ(B.Outputs, localReference("FIR", N, Cfg.Mode));
+  EXPECT_EQ(QueueDepth(), 0);
+  Admission::Counters Counts = Adm.counters();
+  EXPECT_EQ(Counts.Rejected, 1u);
+  EXPECT_EQ(Counts.Served, 1u);
+  EXPECT_EQ(Counts.Timeouts, 1u);
 }
 
 TEST(ServiceServer, NativeRequestDegradesToCompiledWhenUnavailable) {
@@ -611,7 +697,6 @@ TEST(ServiceServer, StatsRequestSnapshotsServiceAndCacheCounters) {
   EXPECT_GE(Value("service.requests"), 1);
   EXPECT_GE(Value("service.served"), 1);
   EXPECT_EQ(Value("service.rejected"), 0);
-  EXPECT_GE(Value("service.pool_served"), 1);
   // The unified snapshot carries the cache subsystems too.
   EXPECT_GE(Value("program-cache.hits"), 0);
   EXPECT_GE(Value("native-cache.compiles"), 0);

@@ -44,8 +44,9 @@ void usage() {
       "  --graphs A,B,C    serving set (default: every benchmark)\n"
       "  --mode MODE       base|linear|freq|redundancy|autosel (default:\n"
       "                    autosel)\n"
-      "  --workers N       pool workers per graph (default: hardware)\n"
-      "  --queue N         per-graph queued-request cap (default: 64)\n"
+      "  --workers N       requests run at once per graph (default:\n"
+      "                    hardware threads)\n"
+      "  --queue N         per-graph waiting-request cap (default: 64)\n"
       "  --deadline-ms N   default per-request deadline (default:\n"
       "                    SLIN_RUN_DEADLINE_MS, else none)\n"
       "  --outputs N       default outputs per request (default: 256)\n"
